@@ -565,12 +565,8 @@ Stage1Result ParallelStage1Placer::run_impl(Placement& placement,
     // The replicas evaluate with the step's penalty weight too.
     for (auto& r : replicas) r->model.set_p2(model.p2());
 
-    SlotEnv env;
-    env.t = t;
-    env.win_x = limiter.window_x(t);
-    env.win_y = limiter.window_y(t);
-    env.core = core;
-    env.p_displace = p_displace;
+    const SlotEnv env{t, limiter.window_x(t), limiter.window_y(t), core,
+                      p_displace};
 
     RunningStats cost_trace;
     AcceptanceCounter acc;
@@ -587,7 +583,11 @@ Stage1Result ParallelStage1Placer::run_impl(Placement& placement,
 
       // 1) Speculate: every slot evaluated against the frozen batch-start
       //    state on whichever worker claims it.
-      const WorkerCrew::Job eval = [&](int worker, int slot) {
+      // Slot `slot` writes only slots[slot], worker w only replicas[w];
+      // run_slot/rollback_slot off the master read the placer's
+      // configuration alone (test_stage1_parallel runs under TSan).
+      const WorkerCrew::Job eval = [this, &slots, &replicas, &env, step,  // lint: allow(pool-capture)
+                                    batch](int worker, int slot) {
         SlotResult& sr = slots[static_cast<std::size_t>(slot)];
         sr.reset();
         Rng srng(derive_slot_seed(slot_seed_base_, step, batch, slot));
@@ -657,9 +657,12 @@ Stage1Result ParallelStage1Placer::run_impl(Placement& placement,
       // 3) Resync the replicas with everything the batch committed (in
       //    commit order; later writes of a cell overwrite earlier ones).
       if (!sync_cells.empty()) {
-        const WorkerCrew::Job sync = [&](int /*worker*/, int replica) {
-          replicas[static_cast<std::size_t>(replica)]->txn.sync_states(
-              sync_cells, sync_states);
+        const std::vector<CellId>& cells = sync_cells;
+        const std::vector<CellState>& states = sync_states;
+        const WorkerCrew::Job sync = [&replicas, &cells, &states](
+                                         int /*worker*/, int replica) {
+          replicas[static_cast<std::size_t>(replica)]->txn.sync_states(cells,
+                                                                       states);
         };
         crew.run(num_workers, sync);
       }

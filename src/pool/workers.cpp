@@ -14,6 +14,10 @@ WorkerCrew::WorkerCrew(int num_workers)
   }
 }
 
+int WorkerCrew::hardware_workers() {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
 WorkerCrew::~WorkerCrew() {
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -3,8 +3,8 @@
 // The ReplicaPool's executor (src/pool/executor.*) parallelizes across
 // independent flows; WorkerCrew parallelizes *inside* one algorithm: a
 // caller repeatedly hands it a batch of independent slots (speculative
-// move evaluations, per-replica state replays) and blocks until every
-// slot has run. Threads are spawned once and parked between batches, so
+// move evaluations, per-replica state replays, the global router's
+// per-net searches) and blocks until every slot has run. Threads are spawned once and parked between batches, so
 // the per-batch overhead is one wake/join handshake, not thread churn.
 //
 // Determinism contract: the crew guarantees only that each slot index in
@@ -16,8 +16,8 @@
 // parallel annealer's commit pass), never off the worker id.
 //
 // The worker id passed to the job selects per-worker scratch (one
-// workspace per worker, like the router's SearchWorkspace pattern); two
-// slots running concurrently always see different worker ids.
+// workspace per worker, like the router's per-worker SearchWorkspaces);
+// two slots running concurrently always see different worker ids.
 #pragma once
 
 #include <atomic>
@@ -48,6 +48,10 @@ public:
   WorkerCrew& operator=(const WorkerCrew&) = delete;
 
   int num_workers() const { return num_workers_; }
+
+  /// One worker per hardware thread (at least 1): the default crew size
+  /// of callers that take a worker count of 0 to mean "all cores".
+  static int hardware_workers();
 
   /// Executes `job` for every slot in [0, num_slots), distributing slots
   /// over the crew by atomic claiming, and returns when all have

@@ -1,8 +1,10 @@
 #include "route/interchange.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "check/contracts.hpp"
+#include "pool/workers.hpp"
 #include "route/validate.hpp"
 #include "util/log.hpp"
 
@@ -17,42 +19,85 @@ int total_overflow(const RoutingGraph& g, const std::vector<int>& usage) {
   return x;
 }
 
+namespace {
+
+/// Nets per phase-one batch. Each batch's budget charges and kill polls
+/// run first, serially and in net order, then its nets are routed across
+/// the crew: a budget or cancellation stop takes effect within one batch.
+constexpr std::size_t kNetBatch = 128;
+
+}  // namespace
+
 GlobalRouter::GlobalRouter(const RoutingGraph& g, GlobalRouterParams params)
     : g_(g), params_(params) {}
+
+GlobalRouter::~GlobalRouter() = default;
 
 GlobalRouteResult GlobalRouter::route(const std::vector<NetTargets>& nets) {
   GlobalRouteResult r;
   r.alternatives.resize(nets.size());
   r.choice.assign(nets.size(), -1);
   r.edge_usage.assign(g_.num_edges(), 0);
-  const RouteCounters counters_before = ws_.counters;
+  if (!crew_) {
+    crew_ = std::make_unique<WorkerCrew>(params_.workers > 0
+                                             ? params_.workers
+                                             : WorkerCrew::hardware_workers());
+    ws_.resize(static_cast<std::size_t>(crew_->num_workers()));
+  }
+  std::vector<RouteCounters> counters_before;
+  for (const SearchWorkspace& ws : ws_) counters_before.push_back(ws.counters);
   // Every return path calls this first so r.counters always reports the
   // work of exactly this call.
-  auto finish = [&]() { r.counters = ws_.counters - counters_before; };
+  auto finish = [&]() {
+    for (std::size_t w = 0; w < ws_.size(); ++w)
+      r.counters += ws_[w].counters - counters_before[w];
+    r.counters.interchange_trials = r.interchange_attempts;
+  };
+
+  // The crew jobs below capture only const bindings and slot-disjoint
+  // outputs: worker w uses workspaces[w] alone, and each slot writes its
+  // own net's entry.
+  const RoutingGraph& g = g_;
+  const SteinerParams& steiner = params_.steiner;
+  std::vector<SearchWorkspace>& workspaces = ws_;
+  std::vector<std::vector<Route>>& alternatives = r.alternatives;
 
   // --- phase one: enumerate alternatives, seed with the shortest ----------
   bool stopped_early = false;
-  for (std::size_t i = 0; i < nets.size(); ++i) {
-    if (params_.faults != nullptr)
-      params_.faults->poll(recover::FaultSite::kRouteNet);
-    if (params_.budget != nullptr) {
-      if (params_.budget->stop_requested()) {
-        // Remaining nets stay unrouted; the partial result is consistent.
-        r.unrouted_nets += static_cast<int>(nets.size() - i);
-        stopped_early = true;
-        break;
+  for (std::size_t begin = 0; begin < nets.size() && !stopped_early;) {
+    const std::size_t end = std::min(nets.size(), begin + kNetBatch);
+    std::size_t charged = begin;
+    for (; charged < end; ++charged) {
+      if (params_.faults != nullptr)
+        params_.faults->poll(recover::FaultSite::kRouteNet);
+      if (params_.budget != nullptr) {
+        if (params_.budget->stop_requested()) {
+          // Remaining nets stay unrouted; the partial result is consistent.
+          r.unrouted_nets += static_cast<int>(nets.size() - charged);
+          stopped_early = true;
+          break;
+        }
+        params_.budget->charge_move();
       }
-      params_.budget->charge_move();
     }
-    r.alternatives[i] = m_best_routes(g_, nets[i], params_.steiner, ws_);
-    if (r.alternatives[i].empty()) {
-      ++r.unrouted_nets;
-      continue;
+    const WorkerCrew::Job phase1 = [&g, &nets, &steiner, &workspaces,
+                                    &alternatives, begin](int worker, int slot) {
+      const std::size_t i = begin + static_cast<std::size_t>(slot);
+      alternatives[i] = m_best_routes(g, nets[i], steiner,
+                                      workspaces[static_cast<std::size_t>(worker)]);
+    };
+    crew_->run(static_cast<int>(charged - begin), phase1);
+    for (std::size_t i = begin; i < charged; ++i) {
+      if (r.alternatives[i].empty()) {
+        ++r.unrouted_nets;
+        continue;
+      }
+      r.choice[i] = 0;
+      for (EdgeId e : r.alternatives[i][0].edges)
+        ++r.edge_usage[static_cast<std::size_t>(e)];
+      r.total_length += r.alternatives[i][0].length;
     }
-    r.choice[i] = 0;
-    for (EdgeId e : r.alternatives[i][0].edges)
-      ++r.edge_usage[static_cast<std::size_t>(e)];
-    r.total_length += r.alternatives[i][0].length;
+    begin = charged;
   }
   r.total_overflow = total_overflow(g_, r.edge_usage);
   // The interchange below maintains edge_usage, total_length and
@@ -148,20 +193,38 @@ GlobalRouteResult GlobalRouter::route(const std::vector<NetTargets>& nets) {
           r.edge_usage[e] - g_.edge(static_cast<EdgeId>(e)).capacity;
       if (over > 0) extra[e] = penalty * static_cast<double>(over);
     }
-    bool added = false;
+    std::vector<std::size_t> ripup;
     for (std::size_t i = 0; i < nets.size(); ++i) {
       const Route* cur = r.route_of(i);
       if (!cur) continue;
-      bool uses_overflow = false;
       for (EdgeId e : cur->edges)
         if (r.edge_usage[static_cast<std::size_t>(e)] >
             g_.edge(e).capacity) {
-          uses_overflow = true;
+          ripup.push_back(i);
           break;
         }
-      if (!uses_overflow) continue;
-      auto alt = greedy_route(g_, nets[i], &extra, ws_);
+    }
+
+    // The congestion-aware routes are computed across the crew, then
+    // merged in net order.
+    const std::vector<double>& penalties = extra;
+    const std::vector<std::size_t>& ripup_nets = ripup;
+    std::vector<std::optional<Route>> ripup_routes(ripup.size());
+    const WorkerCrew::Job reroute = [&g, &nets, &penalties, &ripup_nets,
+                                     &workspaces, &ripup_routes](int worker,
+                                                                 int slot) {
+      const auto k = static_cast<std::size_t>(slot);
+      ripup_routes[k] =
+          greedy_route(g, nets[ripup_nets[k]], &penalties,
+                       workspaces[static_cast<std::size_t>(worker)]);
+    };
+    crew_->run(static_cast<int>(ripup.size()), reroute);
+
+    bool added = false;
+    for (std::size_t k = 0; k < ripup.size(); ++k) {
+      std::optional<Route>& alt = ripup_routes[k];
       if (!alt) continue;
+      const std::size_t i = ripup[k];
       std::sort(alt->edges.begin(), alt->edges.end());
       alt->length = 0.0;
       for (EdgeId e : alt->edges) alt->length += g_.edge(e).length;
@@ -190,7 +253,6 @@ GlobalRouteResult GlobalRouter::route(const std::vector<NetTargets>& nets) {
       unchanged = 0;
     }
     ++r.interchange_attempts;
-    ++ws_.counters.interchange_trials;
     ++unchanged;
 
     // Random overflowed edge, drawn from the maintained worklist.

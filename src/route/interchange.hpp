@@ -7,7 +7,16 @@
 // visits nets in random order driven by the current congestion, the
 // classical net-routing-order dependence problem is avoided (bench_router_order
 // demonstrates this against the sequential baseline).
+//
+// The per-net work — phase one's M-best routes and the rip-up round's
+// greedy routes — is independent across nets, so it runs on a WorkerCrew
+// with one SearchWorkspace per worker. Results land by net index and are
+// merged in net order, every net's search work is a function of the net
+// alone, and budget charges and kill polls stay on the calling thread in
+// net order: the result is identical for every worker count.
 #pragma once
+
+#include <memory>
 
 #include "recover/budget.hpp"
 #include "recover/fault.hpp"
@@ -29,6 +38,10 @@ struct GlobalRouterParams {
   /// boundary, before the pass's anneal writes its first checkpoint) is
   /// reproducible in the resume tests. Polls never consume RNG state.
   recover::FaultInjector* faults = nullptr;
+  /// Threads for the per-net work (0: one per hardware thread). The
+  /// result does not depend on it, so it enters no digest, checkpoint or
+  /// wire format.
+  int workers = 0;
 };
 
 struct GlobalRouteResult {
@@ -42,8 +55,9 @@ struct GlobalRouteResult {
   int total_overflow = 0;     ///< X
   int unrouted_nets = 0;
   long long interchange_attempts = 0;
-  /// Search work this route() call performed (delta of the router's
-  /// workspace counters; see search_workspace.hpp).
+  /// Search work this route() call performed: the summed deltas of every
+  /// worker's workspace counters (see search_workspace.hpp), plus the
+  /// interchange attempts.
   RouteCounters counters;
 
   /// The selected route of a net (nullptr when unrouted).
@@ -53,18 +67,23 @@ struct GlobalRouteResult {
   }
 };
 
+class WorkerCrew;
+
 class GlobalRouter {
 public:
   GlobalRouter(const RoutingGraph& g, GlobalRouterParams params = {});
+  ~GlobalRouter();
 
   GlobalRouteResult route(const std::vector<NetTargets>& nets);
 
 private:
   const RoutingGraph& g_;
   GlobalRouterParams params_;
-  /// One workspace serves every search the router runs (phase one and the
-  /// rip-up augmentation); repeated route() calls reuse its warm arrays.
-  SearchWorkspace ws_;
+  /// Started by the first route() call; its threads park between batches.
+  std::unique_ptr<WorkerCrew> crew_;
+  /// One workspace per worker; repeated route() calls reuse their warm
+  /// arrays.
+  std::vector<SearchWorkspace> ws_;
 };
 
 /// X (Eqn 24) from per-edge usage and capacities.

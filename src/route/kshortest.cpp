@@ -68,18 +68,14 @@ std::vector<DevPath> lawler(const RoutingGraph& g,
 
   const PathQuery q;  // blocking happens via workspace marks
 
-  // One unblocked sweep from the targets exposes every node's exact
-  // distance-to-nearest-target; promoted, it serves as the (perfect on the
-  // unblocked graph, admissible under blocking) heuristic of the first
-  // search and of every spur search below. A workspace that still holds
-  // the sweep for this same graph + target set reuses it — the beam
-  // search asks about one pin's alternatives once per beam tree. See
-  // search_workspace.hpp.
-  if (ws.astar() && !ws.reuse_exact_heuristic(g, targets)) {
-    ws.clear_blocks();
-    search(g, targets, {}, q, ws, SearchStop::kAllReachable);
-    ws.promote_query_to_heuristic(g, targets);
-  }
+  // An unblocked reverse sweep from the targets gives every node's exact
+  // distance-to-nearest-target: the (perfect on the unblocked graph,
+  // admissible under blocking) heuristic of the first search and of every
+  // spur search below. It settles lazily, only as far as those searches
+  // ask; a workspace that still holds the sweep for this same graph +
+  // target set resumes it — the beam search asks about one pin's
+  // alternatives once per beam tree. See search_workspace.hpp.
+  if (ws.astar()) ws.arm_exact_heuristic(g, targets);
 
   PathResult pr;
   auto make_path = [&](std::size_t dev) {

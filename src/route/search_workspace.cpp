@@ -16,8 +16,8 @@ void SearchWorkspace::bind(const RoutingGraph& g) {
     via_.resize(n, kNoEdge);
     label_.resize(n, -1);
     hdist_gen_.resize(n, 0);
+    hdone_gen_.resize(n, 0);
     hdist_.resize(n, kInf);
-    hvia_.resize(n, kNoEdge);
   }
   if (eblock_gen_.size() < m) eblock_gen_.resize(m, 0);
 
@@ -52,36 +52,60 @@ void SearchWorkspace::bind(const RoutingGraph& g) {
     alpha_ = std::max(0.0, min_ratio_ * (1.0 - 1e-12));
 }
 
-void SearchWorkspace::heap_push(double f, double d, NodeId node) {
-  ++counters.heap_pushes;
-  heap_.push_back({f, d, node});
-  std::size_t i = heap_.size() - 1;
-  while (i > 0) {
-    const std::size_t p = (i - 1) / 2;
-    if (!heap_before(heap_[i], heap_[p])) break;
-    std::swap(heap_[i], heap_[p]);
-    i = p;
+void SearchWorkspace::arm_exact_heuristic(const RoutingGraph& g,
+                                          std::span<const NodeId> targets) {
+  key_scratch_.assign(targets.begin(), targets.end());
+  std::sort(key_scratch_.begin(), key_scratch_.end());
+  key_scratch_.erase(std::unique(key_scratch_.begin(), key_scratch_.end()),
+                     key_scratch_.end());
+  exact_h_on_ = true;
+  if (!htargets_.empty() && g.uid() == huid_ &&
+      g.num_edges() == hnum_edges_ && key_scratch_ == htargets_)
+    return;  // resume the kept sweep
+
+  bind(g);
+  ++counters.dijkstra_runs;
+  hgraph_ = &g;
+  hgen_ = ++gen_;
+  huid_ = g.uid();
+  hnum_edges_ = g.num_edges();
+  htargets_.swap(key_scratch_);
+  hheap_.clear();
+  // Seeded in the caller's order, duplicates once — as a full search()
+  // from the targets would be.
+  for (NodeId t : targets) {
+    const auto i = static_cast<std::size_t>(t);
+    if (hdist_gen_[i] == hgen_) continue;
+    hdist_gen_[i] = hgen_;
+    hdist_[i] = 0.0;
+    ++counters.heap_pushes;
+    heap_insert(hheap_, {0.0, 0.0, t});
   }
 }
 
-bool SearchWorkspace::heap_pop(HeapEntry& out) {
-  if (heap_.empty()) return false;
-  out = heap_.front();
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  std::size_t i = 0;
-  const std::size_t n = heap_.size();
-  while (true) {
-    const std::size_t l = 2 * i + 1;
-    const std::size_t r = l + 1;
-    std::size_t best = i;
-    if (l < n && heap_before(heap_[l], heap_[best])) best = l;
-    if (r < n && heap_before(heap_[r], heap_[best])) best = r;
-    if (best == i) break;
-    std::swap(heap_[i], heap_[best]);
-    i = best;
+double SearchWorkspace::settle_exact_h(NodeId n) {
+  // Plain Dijkstra (f == d), paused between calls: every settle and every
+  // relaxation happens exactly as in one uninterrupted sweep.
+  const RoutingGraph& g = *hgraph_;
+  HeapEntry e;
+  while (heap_extract(hheap_, e)) {
+    const auto u = static_cast<std::size_t>(e.node);
+    if (e.d > hdist_[u]) continue;  // stale entry
+    ++counters.nodes_popped;
+    hdone_gen_[u] = hgen_;
+    for (EdgeId eid : g.incident(e.node)) {
+      const GraphEdge& ge = g.edge(eid);
+      const auto v = static_cast<std::size_t>(ge.other(e.node));
+      const double nd = e.d + ge.length;
+      if (hdist_gen_[v] == hgen_ && nd >= hdist_[v]) continue;
+      hdist_gen_[v] = hgen_;
+      hdist_[v] = nd;
+      ++counters.heap_pushes;
+      heap_insert(hheap_, {nd, nd, static_cast<NodeId>(v)});
+    }
+    if (e.node == n) return e.d;
   }
-  return true;
+  return kInf;  // the sweep ran dry without reaching `n`
 }
 
 }  // namespace tw

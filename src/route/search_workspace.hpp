@@ -81,58 +81,51 @@ public:
 
   // --- exact heuristic (deviation searches) --------------------------------
   // The deviation algorithm runs many spur searches against one fixed
-  // target set, each on the same graph minus some blocked prefix. One
-  // unblocked all-reachable sweep *from* the targets gives the exact
-  // distance-to-nearest-target of every node; promoting that query turns
-  // it into the spur searches' heuristic. It is admissible and consistent
-  // there because blocking only removes edges — the unblocked distance
-  // can only undershoot the blocked one — and it dominates the geometric
-  // bound, so spur searches explore little beyond their final corridor.
-  // Nodes it proves unable to reach any target are never entered at all.
+  // target set, each on the same graph minus some blocked prefix. A
+  // reverse Dijkstra *from* the targets on the unblocked graph gives the
+  // exact distance-to-nearest-target of every node it settles; used as the
+  // spur searches' heuristic it is admissible and consistent there because
+  // blocking only removes edges — the unblocked distance can only
+  // undershoot the blocked one — and it dominates the geometric bound, so
+  // spur searches explore little beyond their final corridor. Nodes that
+  // cannot reach any target at all get kInf and are never entered.
+  //
+  // The reverse sweep is resumable (Reverse Resumable A*): arming it only
+  // seeds its heap with the targets, and exact_h(n) settles nodes — in
+  // exactly the order, and to exactly the labels, of the full sweep —
+  // until `n` is settled or the sweep runs dry. A spur search asks only
+  // about nodes near its corridor, so the far side of the graph is never
+  // settled. The sweep keeps its own labels and heap, ignores the block
+  // marks, and counts as one search (its settles and pushes count as
+  // pops and pushes).
 
-  /// Repurposes the just-finished query's distances as the heuristic for
-  /// subsequent queries (O(1): buffers are swapped). `targets` is the
-  /// target set the sweep ran from — recorded, with the graph's (uid,
-  /// num_edges), so reuse_exact_heuristic can recognize an equivalent
-  /// request and skip the sweep. Stays in effect until
-  /// clear_exact_heuristic(); ignored while A* is off.
-  void promote_query_to_heuristic(const RoutingGraph& g,
-                                  std::span<const NodeId> targets) {
-    dist_.swap(hdist_);
-    via_.swap(hvia_);
-    dist_gen_.swap(hdist_gen_);
-    hquery_gen_ = query_gen_;
-    huid_ = g.uid();
-    hnum_edges_ = g.num_edges();
-    htargets_.assign(targets.begin(), targets.end());
-    std::sort(htargets_.begin(), htargets_.end());
-    htargets_.erase(std::unique(htargets_.begin(), htargets_.end()),
-                    htargets_.end());
-    exact_h_on_ = true;
-  }
-  /// Re-arms the promoted heuristic when it was computed for exactly this
-  /// graph state (appended edges could shorten distances, so the edge
-  /// count must match too) and this target set; returns false otherwise.
+  /// Arms the exact heuristic for `targets` on `g`. When the armed sweep
+  /// was started for exactly this graph state (appended edges could
+  /// shorten distances, so the edge count must match too) and this target
+  /// set, it is resumed as it stands; otherwise a new sweep is seeded.
   /// The deduplicated sort is cheap next to the sweep it saves — the beam
   /// search requests the same pin's alternatives once per beam tree.
-  bool reuse_exact_heuristic(const RoutingGraph& g,
-                             std::span<const NodeId> targets) {
-    if (htargets_.empty() || g.uid() != huid_ || g.num_edges() != hnum_edges_)
-      return false;
-    key_scratch_.assign(targets.begin(), targets.end());
-    std::sort(key_scratch_.begin(), key_scratch_.end());
-    key_scratch_.erase(std::unique(key_scratch_.begin(), key_scratch_.end()),
-                       key_scratch_.end());
-    if (key_scratch_ != htargets_) return false;
-    exact_h_on_ = true;
-    return true;
-  }
+  /// Stays in effect until clear_exact_heuristic(); ignored while A* is
+  /// off.
+  void arm_exact_heuristic(const RoutingGraph& g,
+                           std::span<const NodeId> targets);
+  /// Disarms the heuristic; the sweep is kept for a later re-arm.
   void clear_exact_heuristic() { exact_h_on_ = false; }
+  /// Drops the kept sweep, so the next arm starts a fresh one. Callers
+  /// that want their work counters to depend on their own queries only
+  /// (m_best_routes: one net's work, whichever worker ran the net before)
+  /// forget first.
+  void forget_exact_heuristic() {
+    exact_h_on_ = false;
+    htargets_.clear();
+  }
   bool exact_heuristic() const { return astar_on_ && exact_h_on_; }
-  /// Distance from `n` to the promoted query's sources (kInf: unreached).
-  double exact_h(NodeId n) const {
+  /// Unblocked distance from `n` to the nearest armed target (kInf: no
+  /// target is reachable), settling the sweep as far as needed.
+  double exact_h(NodeId n) {
     const auto i = static_cast<std::size_t>(n);
-    return hdist_gen_[i] == hquery_gen_ ? hdist_[i] : kInf;
+    if (hdone_gen_[i] == hgen_) return hdist_[i];
+    return settle_exact_h(n);
   }
 
   // --- per-query state (begin_query invalidates in O(1)) ------------------
@@ -209,9 +202,12 @@ public:
     double d = 0.0;   ///< tentative distance when pushed
     NodeId node = kInvalidNode;
   };
-  void heap_push(double f, double d, NodeId node);
+  void heap_push(double f, double d, NodeId node) {
+    ++counters.heap_pushes;
+    heap_insert(heap_, {f, d, node});
+  }
   /// False when the heap is empty.
-  bool heap_pop(HeapEntry& out);
+  bool heap_pop(HeapEntry& out) { return heap_extract(heap_, out); }
 
   static constexpr EdgeId kNoEdge = -1;
 
@@ -223,6 +219,43 @@ private:
     if (x.d != y.d) return x.d > y.d;
     return x.node < y.node;
   }
+  // Binary-heap sift operations, shared by the query heap and the reverse
+  // sweep's heap. The order is strict and total — a query pushes a node
+  // again only with a strictly smaller distance — so the pop sequence is a
+  // pure function of the pushes.
+  static void heap_insert(std::vector<HeapEntry>& heap, HeapEntry x) {
+    std::size_t i = heap.size();
+    heap.push_back(x);
+    while (i > 0) {
+      const std::size_t p = (i - 1) / 2;
+      if (!heap_before(x, heap[p])) break;
+      heap[i] = heap[p];
+      i = p;
+    }
+    heap[i] = x;
+  }
+  static bool heap_extract(std::vector<HeapEntry>& heap, HeapEntry& out) {
+    if (heap.empty()) return false;
+    out = heap.front();
+    const HeapEntry last = heap.back();
+    heap.pop_back();
+    const std::size_t n = heap.size();
+    if (n == 0) return true;
+    std::size_t i = 0;
+    while (true) {
+      const std::size_t l = 2 * i + 1;
+      if (l >= n) break;
+      std::size_t best = l;
+      if (l + 1 < n && heap_before(heap[l + 1], heap[l])) best = l + 1;
+      if (!heap_before(heap[best], last)) break;
+      heap[i] = heap[best];
+      i = best;
+    }
+    heap[i] = last;
+    return true;
+  }
+  /// Slow path of exact_h(): resumes the reverse sweep until `n` settles.
+  double settle_exact_h(NodeId n);
 
   // A* scale derivation state (see bind()).
   std::uint64_t bound_uid_ = 0;
@@ -232,10 +265,12 @@ private:
   double alpha_ = 0.0;
   bool astar_on_ = true;
   bool exact_h_on_ = false;
-  std::uint64_t hquery_gen_ = 0;
+  // Reverse sweep (see arm_exact_heuristic); `hgen_` stamps its labels.
+  const RoutingGraph* hgraph_ = nullptr;
+  std::uint64_t hgen_ = 0;
   std::uint64_t huid_ = 0;
   std::size_t hnum_edges_ = 0;
-  std::vector<NodeId> htargets_;    ///< promoted sweep's target key (sorted)
+  std::vector<NodeId> htargets_;    ///< armed sweep's target key (sorted)
   std::vector<NodeId> key_scratch_;
 
   // Shared monotone generation counter; the array entries default to 0,
@@ -249,9 +284,9 @@ private:
   std::vector<std::uint64_t> nblock_gen_, eblock_gen_;
   std::vector<double> dist_;
   std::vector<EdgeId> via_;
-  std::vector<std::uint64_t> hdist_gen_;  ///< promoted-query buffers
+  std::vector<std::uint64_t> hdist_gen_, hdone_gen_;  ///< reverse sweep
   std::vector<double> hdist_;
-  std::vector<EdgeId> hvia_;
+  std::vector<HeapEntry> hheap_;
   std::vector<std::int32_t> label_;
   std::vector<HeapEntry> heap_;
 };

@@ -85,7 +85,7 @@ NodeId search(const RoutingGraph& g, std::span<const NodeId> sources,
   if (targets_left == 0 && stop != SearchStop::kAllReachable)
     return kInvalidNode;
 
-  // An exact (promoted-query) heuristic dominates the geometric bound and
+  // An exact (reverse-sweep) heuristic dominates the geometric bound and
   // returns kInf for nodes that cannot reach any target at all — those are
   // never entered.
   const bool exact = targets_left > 0 && ws.exact_heuristic();

@@ -143,6 +143,10 @@ std::vector<Route> m_best_routes(const RoutingGraph& g, const NetTargets& net,
     out.push_back({});
     return out;
   }
+  // A sweep kept from an earlier net is never resumed: this net's work
+  // counters then depend on the net alone, not on what the workspace ran
+  // before (the global router spreads nets over per-worker workspaces).
+  ws.forget_exact_heuristic();
   for (const auto& alts : net.pins)
     if (alts.empty()) return {};  // a pin with no node cannot be connected
 

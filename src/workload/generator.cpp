@@ -126,7 +126,8 @@ Netlist generate_circuit(const CircuitSpec& spec) {
   // --- nets & pins with cluster locality --------------------------------------
   auto add_pin_to_cell = [&](CellPlan& plan, NetId net) -> PinId {
     const Cell& cell = nl.cell(plan.id);
-    const std::string pname = "p" + std::to_string(plan.pins_added++);
+    const std::string pname =
+        std::string("p").append(std::to_string(plan.pins_added++));
     if (!plan.custom) {
       const Point at =
           random_boundary_point(rng, cell.instances.front().tiles);
@@ -146,7 +147,8 @@ Netlist generate_circuit(const CircuitSpec& spec) {
         const std::uint8_t mask =
             masks[static_cast<std::size_t>(rng.uniform_int(0, 2))];
         plan.groups.push_back(nl.add_group(
-            plan.id, "g" + std::to_string(plan.groups.size()), mask,
+            plan.id, std::string("g").append(std::to_string(plan.groups.size())),
+            mask,
             rng.bernoulli(0.5)));
       }
       if (!plan.groups.empty()) {

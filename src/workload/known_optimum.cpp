@@ -62,8 +62,8 @@ KnownOptimumCircuit known_optimum_circuit(const KnownOptimumSpec& spec) {
 
   const Point center{s / 2, s / 2};
   for (const auto& [a, b] : adj) {
-    const NetId n = nl.add_net("n" + std::to_string(a) + "_" +
-                               std::to_string(b));
+    const NetId n = nl.add_net(std::string("n").append(std::to_string(a))
+                                   .append("_").append(std::to_string(b)));
     nl.add_fixed_pin(cell_at[static_cast<std::size_t>(a)], "p", n, center);
     nl.add_fixed_pin(cell_at[static_cast<std::size_t>(b)], "p", n, center);
   }

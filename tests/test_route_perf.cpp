@@ -1,14 +1,17 @@
 // Regression tests for the router performance core (see docs/PERF.md,
 // "Global router"): randomized equivalence of A* against plain Dijkstra,
-// of the deviation k-shortest algorithm against brute force and against
-// its Dijkstra-driven twin, consistency + same-seed determinism of the
+// of the lazily settled reverse sweep against a full Dijkstra, of the
+// deviation k-shortest algorithm against brute force and against its
+// Dijkstra-driven twin, consistency + same-seed determinism of the
 // worklist-driven interchange, and the zero-allocation warm-query
 // guarantee of SearchWorkspace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <functional>
+#include <numeric>
 #include <new>
 #include <optional>
 #include <set>
@@ -22,11 +25,12 @@
 // ---------------------------------------------------------------------------
 // Global allocation counter. Replacing the global operator new/delete pair
 // lets the warm-query test assert that a hot search performs literally
-// zero heap allocations. The counter is process-wide but the tests are
-// single-threaded, so before/after deltas around a measured region are
+// zero heap allocations. The counter is process-wide and atomic (the
+// global router's workers allocate too); the warm-query test runs no
+// other thread, so before/after deltas around its measured region are
 // exact.
 namespace {
-long long g_new_calls = 0;
+std::atomic<long long> g_new_calls{0};
 }  // namespace
 
 void* operator new(std::size_t n) {
@@ -170,6 +174,73 @@ TEST(RoutePerf, AStarMatchesDijkstraFuzz) {
     EXPECT_FALSE(pn.has_value());
   }
   EXPECT_GT(compared, 100);  // the fuzz actually compared real paths
+}
+
+// ---------------------------------------------------------------------------
+// Lazy reverse sweep. exact_h settles the reverse Dijkstra from the armed
+// targets only as far as each query needs; every value it returns must be
+// the full sweep's distance, kInf included for nodes no target reaches.
+
+TEST(RoutePerf, LazySweepMatchesFullDijkstraFuzz) {
+  Rng rng(31337);
+  int unreachable = 0;
+  for (int iter = 0; iter < 150; ++iter) {
+    const bool manhattan = rng.uniform_int(0, 1) == 0;
+    const int w = static_cast<int>(rng.uniform_int(2, 7));
+    const int h = static_cast<int>(rng.uniform_int(2, 7));
+    RoutingGraph g = random_grid(rng, w, h, manhattan);
+    // A short chain the grid (and so every target) never reaches.
+    const int island = static_cast<int>(rng.uniform_int(0, 3));
+    for (int i = 0; i < island; ++i) {
+      const NodeId n = g.add_node(Point{-20 - 10 * i, -20});
+      if (i > 0) g.add_edge(n - 1, n, 10.0, 2);
+    }
+    const auto targets = random_node_set(rng, g, {});
+
+    SearchWorkspace plain;
+    plain.set_astar(false);
+    std::vector<double> full;
+    shortest_distances(g, targets, {}, plain, full);
+
+    SearchWorkspace ws;
+    ws.bind(g);
+    ws.arm_exact_heuristic(g, targets);
+    ASSERT_TRUE(ws.exact_heuristic());
+    // A target is known after settling at most the seeds.
+    const RouteCounters armed = ws.counters;
+    EXPECT_EQ(ws.exact_h(targets.front()), 0.0);
+    EXPECT_LE((ws.counters - armed).nodes_popped,
+              static_cast<long long>(targets.size()));
+
+    std::vector<NodeId> order(g.num_nodes());
+    std::iota(order.begin(), order.end(), NodeId{0});
+    rng.shuffle(order);
+    for (NodeId n : order) {
+      EXPECT_EQ(ws.exact_h(n), full[static_cast<std::size_t>(n)]);
+      if (full[static_cast<std::size_t>(n)] == SearchWorkspace::kInf)
+        ++unreachable;
+    }
+    // Never more settles than the full sweep.
+    EXPECT_LE(ws.counters.nodes_popped, plain.counters.nodes_popped);
+
+    // Re-arming for the same target set (any order, with duplicates)
+    // resumes the kept sweep instead of starting a search.
+    std::vector<NodeId> again(targets.rbegin(), targets.rend());
+    again.push_back(targets.front());
+    const long long runs = ws.counters.dijkstra_runs;
+    ws.clear_exact_heuristic();
+    ws.arm_exact_heuristic(g, again);
+    EXPECT_EQ(ws.counters.dijkstra_runs, runs);
+    for (NodeId n : order)
+      EXPECT_EQ(ws.exact_h(n), full[static_cast<std::size_t>(n)]);
+    // Forgetting it makes the next arm a fresh search.
+    ws.forget_exact_heuristic();
+    ws.arm_exact_heuristic(g, again);
+    EXPECT_EQ(ws.counters.dijkstra_runs, runs + 1);
+    EXPECT_EQ(ws.exact_h(order.back()),
+              full[static_cast<std::size_t>(order.back())]);
+  }
+  EXPECT_GT(unreachable, 0);  // the kInf answer was actually checked
 }
 
 // ---------------------------------------------------------------------------

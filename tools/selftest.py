@@ -13,6 +13,10 @@ Layout — one directory per rule id, each holding two mini repo roots:
   tests/tools/fixtures/<rule>/bad/src/...   must produce >= 1 <rule> finding
   tests/tools/fixtures/<rule>/good/src/...  must produce 0 findings
 
+A rule with more than one scope adds twin trees named `bad-<case>` and
+`good-<case>` (pool-capture: `bad-crew`/`good-crew` for WorkerCrew jobs
+outside src/pool), each judged like `bad`/`good`.
+
 The driver picks the tool from the rule id: lint.py rules run the full
 linter, semlint rules run `semlint.py --checks <rule>` on the token
 backend (the backends share all downstream logic, so this also covers
@@ -65,19 +69,20 @@ def run_case(rule: str, kind: str, fixture_root: pathlib.Path) -> list[str]:
                           capture_output=True, text=True)
     out = proc.stdout + proc.stderr
     failures: list[str] = []
+    case = f"{rule}/{fixture_root.name}"
     if kind == "good":
         if proc.returncode != 0:
             failures.append(
-                f"{rule}/good: expected exit 0, got {proc.returncode}:\n"
+                f"{case}: expected exit 0, got {proc.returncode}:\n"
                 + out.rstrip())
     else:
         if proc.returncode != 1:
             failures.append(
-                f"{rule}/bad: expected exit 1 (findings), got "
+                f"{case}: expected exit 1 (findings), got "
                 f"{proc.returncode}:\n" + out.rstrip())
         elif rule not in out:
             failures.append(
-                f"{rule}/bad: findings do not name rule '{rule}':\n"
+                f"{case}: findings do not name rule '{rule}':\n"
                 + out.rstrip())
     return failures
 
@@ -112,9 +117,11 @@ def main() -> int:
                             "such rule — stale corpus?)")
             continue
         for kind in ("good", "bad"):
-            root = fixtures / rule / kind
-            if not root.is_dir():
+            if not (fixtures / rule / kind).is_dir():
                 failures.append(f"{rule}: missing '{kind}' mini-tree")
+        for root in sorted((fixtures / rule).iterdir()):
+            kind = root.name.split("-", 1)[0]
+            if not root.is_dir() or kind not in ("good", "bad"):
                 continue
             cases += 1
             failures.extend(run_case(rule, kind, root))

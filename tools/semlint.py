@@ -41,7 +41,9 @@ regexes cannot see through typedefs, helper layers, or call chains:
                 double there). Catches `using Coord2 = double`
                 laundering that lint.py's token rule cannot.
 
-  pool-capture  Worker lambdas in src/pool must enumerate their captures
+  pool-capture  Worker lambdas in src/pool, and WorkerCrew jobs anywhere
+                in src (lambdas assigned to a WorkerCrew::Job or passed
+                to a .run( call), must enumerate their captures
                 explicitly, and every by-reference capture must be a
                 std::atomic, a const binding, or a name on the
                 documented disjoint-slot allowlist. This gives a static
@@ -134,9 +136,18 @@ GEOM_CARRIER_NAMES = {"Coord", "Point", "Span", "Rect", "Area"}
 
 # pool-capture: by-reference captures whose concurrent use is proven
 # disjoint by construction and documented in docs/ROBUSTNESS.md
-# ("Replica pool"): each worker writes only reports[id] for the ids it
-# claimed off the atomic counter, and the joins publish every slot.
-POOL_SLOT_ALLOWLIST = {"reports"}
+# ("Replica pool", "Global router workers"). Each worker of the replica
+# pool writes only reports[id] for the ids it claimed off the atomic
+# counter, and the joins publish every slot. In WorkerCrew jobs, a slot
+# writes only its own entry of a per-slot output (the router's per-net
+# `alternatives` and `ripup_routes`, the parallel annealer's `slots`),
+# and worker w touches only entry w of a per-worker scratch vector (the
+# router's `workspaces`, the annealer's `replicas`); WorkerCrew::run is
+# a full barrier that publishes every slot.
+POOL_SLOT_ALLOWLIST = {
+    "reports", "alternatives", "ripup_routes", "slots", "workspaces",
+    "replicas",
+}
 
 CXX_KEYWORDS = {
     "alignas", "alignof", "asm", "auto", "bool", "break", "case", "catch",
@@ -328,6 +339,7 @@ class Capture:
 class Lambda:
     line: int
     captures: list[Capture]
+    tok: int = 0  # index of the introducer's '[' in FileModel.toks
 
 
 @dataclass
@@ -697,7 +709,7 @@ def _extract_lambdas(fm: FileModel) -> None:
                                                   "->", "noexcept"):
             continue
         caps = _parse_captures(toks, i + 1, close - 1)
-        fm.lambdas.append(Lambda(line=t.line, captures=caps))
+        fm.lambdas.append(Lambda(line=t.line, captures=caps, tok=i))
 
 
 def _parse_captures(toks: list[Tok], start: int, end: int) -> list[Capture]:
@@ -1264,19 +1276,47 @@ def check_float_flow(model: RepoModel) -> list[Finding]:
 # Check: pool-capture
 
 
+def _is_crew_job(fm: FileModel, lam: Lambda) -> bool:
+    """True for a lambda handed to WorkerCrew::run: assigned to a
+    `WorkerCrew::Job name =`, or written inside the argument list of a
+    `.run(` / `->run(` call."""
+    toks = fm.toks
+    i = lam.tok
+    if (i >= 5 and toks[i - 1].text == "="
+            and [t.text for t in toks[i - 5:i - 2]] == ["WorkerCrew", "::", "Job"]):
+        return True
+    depth = 0
+    for j in range(i - 1, -1, -1):
+        t = toks[j].text
+        if t in (")", "]", "}"):
+            depth += 1
+        elif t in ("(", "[", "{"):
+            if depth == 0:
+                return (t == "(" and j >= 2 and toks[j - 1].text == "run"
+                        and toks[j - 2].text in (".", "->"))
+            depth -= 1
+        elif t == ";" and depth == 0:
+            return False
+    return False
+
+
 def check_pool_capture(model: RepoModel) -> list[Finding]:
     out: list[Finding] = []
     for rel, fm in model.files.items():
-        if not rel.startswith("src/pool/"):
+        in_pool = rel.startswith("src/pool/")
+        if not in_pool and not rel.startswith("src/"):
             continue
         for lam in fm.lambdas:
+            if not in_pool and not _is_crew_job(fm, lam):
+                continue
             for cap in lam.captures:
                 text = cap.text
                 if text in ("&", "="):
                     out.append(Finding(rel, cap.line, "pool-capture",
                         f"lambda uses a default capture '[{text}]' — "
-                        "worker lambdas in src/pool must enumerate their "
-                        "captures so the race surface is auditable"))
+                        "worker lambdas (src/pool, WorkerCrew jobs) must "
+                        "enumerate their captures so the race surface is "
+                        "auditable"))
                     continue
                 if text == "this":
                     out.append(Finding(rel, cap.line, "pool-capture",
@@ -1299,14 +1339,16 @@ def check_pool_capture(model: RepoModel) -> list[Finding]:
                     "declaration is neither std::atomic nor const nor on "
                     "the documented disjoint-slot allowlist "
                     f"({sorted(POOL_SLOT_ALLOWLIST)}) — see "
-                    "docs/ROBUSTNESS.md 'Replica pool'"))
+                    "docs/ROBUSTNESS.md 'Replica pool' and 'Global router "
+                    "workers'"))
     return out
 
 
 def _declared_atomic_or_const(fm: FileModel, name: str) -> bool:
+    # A declaration statement, or a parameter (ended by ',' or ')').
     decl_re = re.compile(
         r"(?:^|[^\w])(?:const\b[^;=(){}]*|[^;{}]*\batomic\s*<[^;>]*>[^;=(){}]*)"
-        rf"[&\s]\s*{re.escape(name)}\s*[;={{(\[]")
+        rf"[&\s]\s*{re.escape(name)}\s*[;={{(\[,)]")
     for line in fm.lines:
         if name not in line:
             continue
