@@ -14,26 +14,6 @@
 namespace tw::pool {
 namespace {
 
-/// Deterministic best-feasible order, identical to ReplicaPool's: lower
-/// TEIL, then smaller chip area, then lower replica id (implicit via
-/// strict improvement over the in-order scan).
-bool improves(const ReplicaReport& candidate, const ReplicaReport& best) {
-  if (candidate.final_teil != best.final_teil)
-    return candidate.final_teil < best.final_teil;
-  return candidate.final_chip_area < best.final_chip_area;
-}
-
-int select_best(const std::vector<ReplicaReport>& replicas) {
-  int best = -1;
-  for (int i = 0; i < static_cast<int>(replicas.size()); ++i) {
-    const ReplicaReport& r = replicas[static_cast<std::size_t>(i)];
-    if (r.outcome != ReplicaOutcome::kSucceeded) continue;
-    if (best < 0 || improves(r, replicas[static_cast<std::size_t>(best)]))
-      best = i;
-  }
-  return best;
-}
-
 ReplicaReport rejected_report(int replica, const std::string& why) {
   ReplicaReport r;
   r.replica = replica;

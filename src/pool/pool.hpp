@@ -4,7 +4,7 @@
 // under different seeds land on a spread of final costs, so production use
 // means running N replicas and keeping the best (the parallel multi-start
 // structure PARSAC applies to SoC floorplanning). The pool runs N
-// independent flows on a fixed-size worker thread pool, each replica on
+// independent flows as one WorkerCrew batch (pool/workers.hpp), each on
 // its own derive_replica_seed(master, id) stream with its own per-attempt
 // RunBudget and checkpoint directory, and supervises them:
 //

@@ -71,6 +71,14 @@ std::uint64_t fnv1a(const std::string& text) {
   return h;
 }
 
+/// Strict best-feasible order: lower TEIL, then smaller chip area. The
+/// replica-id tiebreak is implicit in select_best's in-order scan.
+bool improves(const ReplicaReport& candidate, const ReplicaReport& best) {
+  if (candidate.final_teil != best.final_teil)
+    return candidate.final_teil < best.final_teil;
+  return candidate.final_chip_area < best.final_chip_area;
+}
+
 }  // namespace
 
 std::int64_t WatchdogPolicy::allowance(int attempt) const {
@@ -287,6 +295,17 @@ ReplicaReport run_replica(const Netlist& nl, const ReplicaConfig& cfg) {
   report.outcome = ReplicaOutcome::kFailed;
   report.checkpoint_off = checkpoints_off;
   return report;
+}
+
+int select_best(const std::vector<ReplicaReport>& replicas) {
+  int best = -1;
+  for (int i = 0; i < static_cast<int>(replicas.size()); ++i) {
+    const ReplicaReport& r = replicas[static_cast<std::size_t>(i)];
+    if (r.outcome != ReplicaOutcome::kSucceeded) continue;
+    if (best < 0 || improves(r, replicas[static_cast<std::size_t>(best)]))
+      best = i;
+  }
+  return best;
 }
 
 }  // namespace tw::pool

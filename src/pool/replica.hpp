@@ -11,7 +11,7 @@
 // scripted.
 //
 // Everything here is single-threaded and deterministic; ReplicaPool
-// (pool.hpp) fans replicas out over worker threads, which is safe exactly
+// (pool.hpp) fans replicas out over a WorkerCrew, which is safe exactly
 // because a replica shares no mutable state with its siblings.
 #pragma once
 
@@ -202,5 +202,11 @@ struct ReplicaConfig {
 /// Only programming errors (std::bad_alloc, contract aborts) escape
 /// otherwise.
 ReplicaReport run_replica(const Netlist& nl, const ReplicaConfig& cfg);
+
+/// Deterministic best-feasible selection over reports indexed by replica
+/// id: among the kSucceeded ones, the lowest final TEIL wins, then the
+/// smaller chip area, then the lower replica id. Returns -1 when no
+/// replica succeeded. ReplicaPool and PoolExecutor both select with it.
+int select_best(const std::vector<ReplicaReport>& replicas);
 
 }  // namespace tw::pool

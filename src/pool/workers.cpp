@@ -62,8 +62,8 @@ void WorkerCrew::run(int num_slots, const Job& job) {
 }
 
 void WorkerCrew::claim_loop(int worker) {
-  // Slots are claimed by a shared atomic cursor, so an uneven slot (one
-  // that re-runs a long cascade) never stalls the rest of the batch.
+  // Slots are claimed by a shared atomic cursor, so an uneven slot (a
+  // long net, a replica that retries) never stalls the rest of the batch.
   for (;;) {
     const int slot = next_slot_.fetch_add(1, std::memory_order_relaxed);
     if (slot >= num_slots_) return;

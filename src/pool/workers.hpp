@@ -1,19 +1,21 @@
-// Fixed crew of slot-claiming worker threads for intra-run parallelism.
+// Fixed crew of slot-claiming worker threads.
 //
-// The ReplicaPool's executor (src/pool/executor.*) parallelizes across
-// independent flows; WorkerCrew parallelizes *inside* one algorithm: a
-// caller repeatedly hands it a batch of independent slots (speculative
-// move evaluations, per-replica state replays, the global router's
-// per-net searches) and blocks until every slot has run. Threads are spawned once and parked between batches, so
-// the per-batch overhead is one wake/join handshake, not thread churn.
+// A caller hands the crew a batch of independent slots and blocks until
+// every slot has run. Two callers use it: the global router runs its
+// per-net searches as slots, and ReplicaPool runs its replicas as one
+// batch. Threads are spawned once and parked between batches, so the
+// per-batch overhead is one wake/join handshake, not thread churn.
+// PoolExecutor (src/pool/executor.*) keeps its own long-lived queue: its
+// jobs arrive, get preempted and finish at any time, with no batch
+// barrier to wait on.
 //
 // Determinism contract: the crew guarantees only that each slot index in
 // [0, num_slots) is executed exactly once per run() and that run() is a
 // full barrier (all slot effects happen-before run() returns). Which
 // worker claims which slot is scheduling-dependent — callers that need
 // thread-count-independent results must key all randomness and all
-// output locations off the *slot* index (see derive_slot_seed and the
-// parallel annealer's commit pass), never off the worker id.
+// output locations off the *slot* index (the router stores routes by net
+// index, the pool reports by replica id), never off the worker id.
 //
 // The worker id passed to the job selects per-worker scratch (one
 // workspace per worker, like the router's per-worker SearchWorkspaces);

@@ -127,7 +127,8 @@ TEST(CriticalRegions, ThirdCellBlocksLongChannel) {
   Netlist nl;
   const NetId n = nl.add_net("n");
   for (int i = 0; i < 3; ++i)
-    nl.add_macro("c" + std::to_string(i), {Rect{0, 0, 10, 10}});
+    nl.add_macro(std::string("c").append(std::to_string(i)),
+                 {Rect{0, 0, 10, 10}});
   nl.add_fixed_pin(0, "p", n, Point{10, 5});
   nl.add_fixed_pin(2, "q", n, Point{0, 5});
   Placement p(nl);
@@ -149,7 +150,8 @@ TEST(CriticalRegions, OverlappingRegionsKept) {
   Netlist nl;
   const NetId n = nl.add_net("n");
   for (int i = 0; i < 4; ++i)
-    nl.add_macro("c" + std::to_string(i), {Rect{0, 0, 10, 10}});
+    nl.add_macro(std::string("c").append(std::to_string(i)),
+                 {Rect{0, 0, 10, 10}});
   nl.add_fixed_pin(0, "p", n, Point{10, 5});
   nl.add_fixed_pin(1, "q", n, Point{0, 5});
   Placement p(nl);
@@ -181,7 +183,8 @@ TEST(CriticalRegions, RouteCrossesJunction) {
   Netlist nl;
   const NetId n = nl.add_net("n");
   for (int i = 0; i < 4; ++i)
-    nl.add_macro("c" + std::to_string(i), {Rect{0, 0, 10, 10}});
+    nl.add_macro(std::string("c").append(std::to_string(i)),
+                 {Rect{0, 0, 10, 10}});
   nl.add_fixed_pin(0, "p", n, Point{10, 5});  // bottom-left, right edge
   nl.add_fixed_pin(3, "q", n, Point{0, 5});   // top-right, left edge
   Placement p(nl);

@@ -106,14 +106,19 @@ TEST(Cluster, PinAggregationConservesNets) {
 Netlist hub_circuit(int cells) {
   Netlist nl;
   for (int i = 0; i < cells; ++i)
-    nl.add_macro("c" + std::to_string(i), {Rect{0, 0, 8, 8}});
+    nl.add_macro(std::string("c").append(std::to_string(i)),
+                 {Rect{0, 0, 8, 8}});
   const NetId hub = nl.add_net("clk", 1.0, 1.0);
   for (CellId c = 0; c < cells; ++c)
-    nl.add_fixed_pin(c, "clk" + std::to_string(c), hub, Point{4, 4});
+    nl.add_fixed_pin(c, std::string("clk").append(std::to_string(c)),
+                     hub, Point{4, 4});
   for (CellId c = 0; c + 1 < cells; ++c) {
-    const NetId n = nl.add_net("w" + std::to_string(c), 1.0, 1.0);
-    nl.add_fixed_pin(c, "a" + std::to_string(c), n, Point{8, 4});
-    nl.add_fixed_pin(c + 1, "b" + std::to_string(c), n, Point{0, 4});
+    const NetId n = nl.add_net(std::string("w").append(std::to_string(c)),
+                               1.0, 1.0);
+    nl.add_fixed_pin(c, std::string("a").append(std::to_string(c)),
+                     n, Point{8, 4});
+    nl.add_fixed_pin(c + 1, std::string("b").append(std::to_string(c)),
+                     n, Point{0, 4});
   }
   nl.validate();
   return nl;

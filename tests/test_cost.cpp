@@ -183,7 +183,7 @@ TEST(Cost, C3ReflectsSiteOverloads) {
   const CellId c = nl.add_custom("c", 64, 1.0, 1.0, 8);
   const CellId d = nl.add_macro("d", {Rect{0, 0, 5, 5}});
   for (int i = 0; i < 3; ++i)
-    nl.add_edge_pin(c, "p" + std::to_string(i), n);
+    nl.add_edge_pin(c, std::string("p").append(std::to_string(i)), n);
   nl.add_fixed_pin(d, "q", n, Point{0, 0});
   Placement placement(nl);
   OverlapEngine overlap(placement, Rect{-50, -50, 50, 50}, {});

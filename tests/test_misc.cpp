@@ -37,7 +37,8 @@ TEST(Stage2Expansions, JunctionRegionsContributeNothing) {
   Netlist nl;
   const NetId n = nl.add_net("n");
   for (int i = 0; i < 4; ++i)
-    nl.add_macro("c" + std::to_string(i), {Rect{0, 0, 10, 10}});
+    nl.add_macro(std::string("c").append(std::to_string(i)),
+                 {Rect{0, 0, 10, 10}});
   nl.add_fixed_pin(0, "p", n, Point{10, 5});
   nl.add_fixed_pin(3, "q", n, Point{0, 5});
   Placement p(nl);

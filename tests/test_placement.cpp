@@ -183,7 +183,8 @@ TEST(Placement, SitePenaltyMatchesEqn10And11) {
   const CellId d = nl.add_macro("d", {Rect{0, 0, 5, 5}});
   std::vector<PinId> pins;
   for (int i = 0; i < 3; ++i)
-    pins.push_back(nl.add_edge_pin(c, "p" + std::to_string(i), n));
+    pins.push_back(
+        nl.add_edge_pin(c, std::string("p").append(std::to_string(i)), n));
   nl.add_fixed_pin(d, "q", n, Point{0, 0});
   Placement p(nl);
   // Cram all three pins into site 0 (capacity 1): E = (3-1)+5 = 7, C3 = 49.
@@ -202,7 +203,7 @@ TEST(Placement, AssignGroupSequencedConsecutive) {
   const CellId d = nl.add_macro("d", {Rect{0, 0, 5, 5}});
   const GroupId g = nl.add_group(c, "bus", kSideLeft | kSideRight, true);
   for (int i = 0; i < 3; ++i)
-    nl.add_group_pin(c, g, "b" + std::to_string(i), n);
+    nl.add_group_pin(c, g, std::string("b").append(std::to_string(i)), n);
   nl.add_fixed_pin(d, "q", n, Point{0, 0});
   Placement p(nl);
   p.assign_group(c, g, Side::kRight, 2);
@@ -224,7 +225,7 @@ TEST(Placement, AssignGroupClampsAtEdgeEnd) {
   const CellId d = nl.add_macro("d", {Rect{0, 0, 5, 5}});
   const GroupId g = nl.add_group(c, "bus", kSideTop, true);
   for (int i = 0; i < 3; ++i)
-    nl.add_group_pin(c, g, "b" + std::to_string(i), n);
+    nl.add_group_pin(c, g, std::string("b").append(std::to_string(i)), n);
   nl.add_fixed_pin(d, "q", n, Point{0, 0});
   Placement p(nl);
   p.assign_group(c, g, Side::kTop, 3);  // last site; trailing pins share it

@@ -313,10 +313,11 @@ TEST(Resume, MultilevelRejectsForeignPhaseCheckpoint) {
 }
 
 TEST(Resume, OldCheckpointVersionIsTypedError) {
-  // A version-2 file (the pre-multilevel format) must be rejected with
-  // kBadVersion by today's reader — no silent migration. The frame CRC
-  // only covers the payload, so rewriting the version field alone forges
-  // a structurally valid old-version file.
+  // Files of an older format must be rejected with kBadVersion by
+  // today's reader — no silent migration. Version 2 predates the
+  // multilevel phase; version 4 could carry the removed parallel stage-1
+  // phase. The frame CRC only covers the payload, so rewriting the
+  // version field alone forges a structurally valid old-version file.
   const std::string dir = fresh_dir("tw_res_oldver");
   FlowParams params = fast_flow(kSeed);
   params.recover.checkpoint_dir = dir;
@@ -325,18 +326,41 @@ TEST(Resume, OldCheckpointVersionIsTypedError) {
   (void)TimberWolfMC(test_netlist(), params).run(p);
   const std::string path = *recover::find_latest_checkpoint(dir);
 
-  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-  ASSERT_TRUE(f.is_open());
-  f.seekp(4);  // magic "TWCP" | u32 version | ...
-  const std::uint32_t old_version = 2;
-  f.write(reinterpret_cast<const char*>(&old_version), 4);
-  f.close();
+  for (const std::uint32_t old_version : {2u, 4u}) {
+    SCOPED_TRACE(old_version);
+    {
+      std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+      ASSERT_TRUE(f.is_open());
+      f.seekp(4);  // magic "TWCP" | u32 version | ...
+      f.write(reinterpret_cast<const char*>(&old_version), 4);
+    }
+    try {
+      (void)recover::load_checkpoint(path);
+      FAIL() << "expected CheckpointError";
+    } catch (const CheckpointError& e) {
+      EXPECT_EQ(e.code(), CheckpointErrc::kBadVersion);
+    }
+  }
+}
 
+TEST(Resume, RemovedParallelPhaseIsCorrupt) {
+  // Phase byte 3 named the removed parallel stage-1 engine; today's
+  // decoder must reject it as corrupt rather than guess an engine.
+  const std::string dir = fresh_dir("tw_res_phase3");
+  FlowParams params = fast_flow(kSeed);
+  params.recover.checkpoint_dir = dir;
+  params.recover.checkpoint_every = 1;
+  Placement p(test_netlist());
+  (void)TimberWolfMC(test_netlist(), params).run(p);
+  std::vector<std::uint8_t> bytes = recover::encode_checkpoint(
+      recover::load_checkpoint(*recover::find_latest_checkpoint(dir)));
+
+  bytes.at(16) = 3;  // u64 master seed | u64 digest | u8 phase | ...
   try {
-    (void)recover::load_checkpoint(path);
+    (void)recover::decode_checkpoint(bytes);
     FAIL() << "expected CheckpointError";
   } catch (const CheckpointError& e) {
-    EXPECT_EQ(e.code(), CheckpointErrc::kBadVersion);
+    EXPECT_EQ(e.code(), CheckpointErrc::kCorrupt);
   }
 }
 

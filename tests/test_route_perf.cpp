@@ -33,16 +33,26 @@ namespace {
 std::atomic<long long> g_new_calls{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+// Every replacement stays out of line. Once one is inlined into a
+// caller, GCC sees std::malloc or std::free paired with operator delete
+// or operator new and raises -Wmismatched-new-delete, although the pairs
+// below do match.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   ++g_new_calls;
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace tw {
 namespace {

@@ -4,17 +4,21 @@
 // SearchWorkspace per worker; every observable — the alternatives, the
 // selection, the usage, L, X, the attempts and the summed work counters —
 // must be identical for every worker count, and so must a whole flow's
-// fingerprint. The suite carries the "route.parallel" label, which the
-// ThreadSanitizer CI leg runs.
+// fingerprint. WorkerCrew itself, which the router and the replica pool
+// both run on, is checked here too. The suite carries the
+// "route.parallel" label, which the ThreadSanitizer CI leg runs.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "channel/channel_graph.hpp"
 #include "estimator/area_estimator.hpp"
 #include "fingerprint.hpp"
 #include "place/legalize.hpp"
+#include "pool/workers.hpp"
 #include "recover/budget.hpp"
 #include "recover/fault.hpp"
 #include "route/interchange.hpp"
@@ -218,6 +222,49 @@ TEST(RouterParallel, NetWorkDoesNotDependOnEarlierNets) {
     EXPECT_EQ(got, want);
     EXPECT_EQ(warm.counters - before, fresh.counters);
   }
+}
+
+TEST(WorkerCrew, RunsEverySlotExactlyOnce) {
+  WorkerCrew crew(4);
+  std::vector<std::atomic<int>> hits(257);
+  for (auto& h : hits) h.store(0);
+  std::atomic<int> worker_seen{0};
+  crew.run(257, [&](int worker, int slot) {
+    ASSERT_GE(worker, 0);
+    ASSERT_LT(worker, 4);
+    worker_seen.fetch_or(1 << worker);
+    hits[static_cast<std::size_t>(slot)].fetch_add(1);
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // Batch after batch reuses the parked threads.
+  crew.run(3, [&](int, int slot) { hits[static_cast<std::size_t>(slot)].fetch_add(1); });
+  for (std::size_t s = 0; s < 3; ++s) EXPECT_EQ(hits[s].load(), 2);
+}
+
+TEST(WorkerCrew, SerialDegenerateFormUsesCallerOnly) {
+  WorkerCrew crew(1);
+  std::vector<int> order;
+  crew.run(5, [&](int worker, int slot) {
+    EXPECT_EQ(worker, 0);
+    order.push_back(slot);
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(WorkerCrew, PropagatesFirstException) {
+  WorkerCrew crew(4);
+  std::atomic<int> executed{0};
+  EXPECT_THROW(
+      crew.run(64,
+               [&](int, int slot) {
+                 executed.fetch_add(1);
+                 if (slot == 7) throw std::runtime_error("slot 7 failed");
+               }),
+      std::runtime_error);
+  // The crew must be reusable after an error drained the batch.
+  std::atomic<int> after{0};
+  crew.run(8, [&](int, int) { after.fetch_add(1); });
+  EXPECT_EQ(after.load(), 8);
 }
 
 }  // namespace

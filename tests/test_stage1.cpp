@@ -192,9 +192,10 @@ TEST(Stage1, NetWeightingShortensCriticalNet) {
     const NetId critical = nl.add_net("critical", weight, weight);
     std::vector<NetId> rest;
     for (int i = 0; i < 6; ++i)
-      rest.push_back(nl.add_net("n" + std::to_string(i)));
+      rest.push_back(nl.add_net(std::string("n").append(std::to_string(i))));
     for (int c = 0; c < 8; ++c)
-      nl.add_macro("c" + std::to_string(c), {Rect{0, 0, 30, 30}});
+      nl.add_macro(std::string("c").append(std::to_string(c)),
+                   {Rect{0, 0, 30, 30}});
     // The critical net joins cells 0 and 7; the rest form a chain that
     // pulls 0 and 7 apart.
     nl.add_fixed_pin(0, "crit", critical, Point{15, 15});

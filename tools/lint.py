@@ -31,7 +31,7 @@ Rules (each reports file:line and exits nonzero on any hit):
 
   6. No raw threading outside src/pool: `std::thread`, `std::jthread`,
      `std::async` and `.detach()` are banned elsewhere in src/. All
-     concurrency is confined to the replica pool, whose workers share no
+     threads belong to WorkerCrew or PoolExecutor, whose slots share no
      mutable algorithm state (docs/ROBUSTNESS.md "Replica pool") — a
      stray thread anywhere else would silently break the determinism
      guarantee and the re-entrancy audit the pool depends on.
@@ -134,15 +134,15 @@ RULES = [
         "raw-thread",
         lambda rel: rel.parts[0] == "src" and rel.parts[:2] != ("src", "pool"),
         re.compile(r"std::j?thread\b|std::async\b|\.detach\s*\("),
-        "threads live only in src/pool (ReplicaPool for whole-run "
-        "replicas, WorkerCrew for in-run speculation batches); library "
-        "code elsewhere must stay single-threaded and deterministic",
+        "threads live only in src/pool (WorkerCrew for batches of "
+        "independent slots, PoolExecutor for the service's job queue); "
+        "code elsewhere runs parallel work on a WorkerCrew and never "
+        "spawns threads itself",
     ),
     (
         "txn-mutation",
         lambda rel: str(rel) in (
             "src/place/stage1.cpp",
-            "src/place/stage1_parallel.cpp",
             "src/refine/stage2.cpp",
         ),
         re.compile(

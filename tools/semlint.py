@@ -90,7 +90,6 @@ RNG_IMPL_FILES = {"src/util/rng.hpp", "src/util/rng.cpp"}
 # txn-reach: the annealer TUs whose transitive callees are audited.
 ANNEALER_ROOT_FILES = {
     "src/place/stage1.cpp",
-    "src/place/stage1_parallel.cpp",
     "src/refine/stage2.cpp",
 }
 
@@ -136,17 +135,14 @@ GEOM_CARRIER_NAMES = {"Coord", "Point", "Span", "Rect", "Area"}
 
 # pool-capture: by-reference captures whose concurrent use is proven
 # disjoint by construction and documented in docs/ROBUSTNESS.md
-# ("Replica pool", "Global router workers"). Each worker of the replica
-# pool writes only reports[id] for the ids it claimed off the atomic
-# counter, and the joins publish every slot. In WorkerCrew jobs, a slot
-# writes only its own entry of a per-slot output (the router's per-net
-# `alternatives` and `ripup_routes`, the parallel annealer's `slots`),
-# and worker w touches only entry w of a per-worker scratch vector (the
-# router's `workspaces`, the annealer's `replicas`); WorkerCrew::run is
-# a full barrier that publishes every slot.
+# ("Replica pool", "Global router workers"). In WorkerCrew jobs, a slot
+# writes only its own entry of a per-slot output (the replica pool's
+# `reports`, the router's per-net `alternatives` and `ripup_routes`), and
+# worker w touches only entry w of a per-worker scratch vector (the
+# router's `workspaces`); WorkerCrew::run is a full barrier that
+# publishes every slot.
 POOL_SLOT_ALLOWLIST = {
-    "reports", "alternatives", "ripup_routes", "slots", "workspaces",
-    "replicas",
+    "reports", "alternatives", "ripup_routes", "workspaces",
 }
 
 CXX_KEYWORDS = {
