@@ -127,6 +127,27 @@ ChannelGraph build_channel_graph(const Placement& placement, const Rect& core) {
     cg.pin_slab[static_cast<std::size_t>(pin.id)] = best;
   }
 
+  // Crossing table: a route passing from slab a to slab b crosses their
+  // shared boundary segment, at its midpoint.
+  cg.crossings.resize(cg.edge_slabs.size());
+  for (std::size_t e = 0; e < cg.edge_slabs.size(); ++e) {
+    const auto& [sa, sb] = cg.edge_slabs[e];
+    if (sa == sb) continue;  // pin stub: crosses no slab boundary
+    const Rect& ra = cg.slabs[static_cast<std::size_t>(sa)];
+    const Rect& rb = cg.slabs[static_cast<std::size_t>(sb)];
+    Point& at = cg.crossings[e].at;
+    if (ra.yhi == rb.ylo || rb.yhi == ra.ylo) {
+      const Span ov = ra.xspan().intersect(rb.xspan());
+      at = {(ov.lo + ov.hi) / 2, ra.yhi == rb.ylo ? ra.yhi : rb.yhi};
+    } else {
+      const Span ov = ra.yspan().intersect(rb.yspan());
+      at = {ra.xhi == rb.xlo ? ra.xhi : rb.xhi, (ov.lo + ov.hi) / 2};
+    }
+    for (std::size_t r = 0; r < cg.regions.size(); ++r)
+      if (cg.regions[r].rect.contains(at))
+        cg.crossings[e].regions.push_back(static_cast<std::int32_t>(r));
+  }
+
   return cg;
 }
 
@@ -164,37 +185,15 @@ std::vector<int> region_densities(
     const std::vector<std::vector<EdgeId>>& net_route_edges) {
   // A net contributes one track to a channel when its route *crosses* the
   // channel, i.e. when it passes from one slab to an adjacent one through a
-  // boundary point inside the region. Counting every region a route merely
-  // touches would overstate the density several-fold (routes sweep through
-  // large slabs) and balloon the derived channel widths.
-  //
-  // Precompute, per slab-adjacency graph edge, the crossing point (the
-  // midpoint of the shared boundary segment) and the regions containing it.
-  std::vector<std::vector<std::int32_t>> edge_regions(cg.edge_slabs.size());
-  for (std::size_t e = 0; e < cg.edge_slabs.size(); ++e) {
-    const auto& [sa, sb] = cg.edge_slabs[e];
-    if (sa < 0 || sa == sb) continue;  // pin stub: no crossing
-    const Rect& ra = cg.slabs[static_cast<std::size_t>(sa)];
-    const Rect& rb = cg.slabs[static_cast<std::size_t>(sb)];
-    // Shared boundary segment between the two slab rectangles.
-    Point crossing;
-    if (ra.yhi == rb.ylo || rb.yhi == ra.ylo) {
-      const Span ov = ra.xspan().intersect(rb.xspan());
-      crossing = {(ov.lo + ov.hi) / 2, ra.yhi == rb.ylo ? ra.yhi : rb.yhi};
-    } else {
-      const Span ov = ra.yspan().intersect(rb.yspan());
-      crossing = {ra.xhi == rb.xlo ? ra.xhi : rb.xhi, (ov.lo + ov.hi) / 2};
-    }
-    for (std::size_t r = 0; r < cg.regions.size(); ++r)
-      if (cg.regions[r].rect.contains(crossing))
-        edge_regions[e].push_back(static_cast<std::int32_t>(r));
-  }
-
+  // boundary point inside the region (cg.crossings). Counting every region
+  // a route merely touches would overstate the density several-fold
+  // (routes sweep through large slabs) and balloon the derived channel
+  // widths.
   std::vector<int> density(cg.regions.size(), 0);
   std::vector<int> last_net(cg.regions.size(), -1);
   for (std::size_t n = 0; n < net_route_edges.size(); ++n) {
     for (EdgeId e : net_route_edges[n]) {
-      for (std::int32_t r : edge_regions[static_cast<std::size_t>(e)]) {
+      for (std::int32_t r : cg.crossings[static_cast<std::size_t>(e)].regions) {
         if (last_net[static_cast<std::size_t>(r)] == static_cast<int>(n))
           continue;  // count each net once per region
         last_net[static_cast<std::size_t>(r)] = static_cast<int>(n);

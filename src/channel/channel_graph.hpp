@@ -18,7 +18,10 @@
 //
 // Every pin is projected onto its cell edge into the adjacent slab and
 // becomes its own graph node. Routed slab usage is mapped back onto the
-// critical regions to obtain per-channel densities.
+// critical regions to obtain per-channel densities: a route crosses from
+// one slab into the next at the midpoint of their shared boundary, and
+// the graph keeps, per slab-adjacency edge, that point and the regions
+// containing it (one table, read by every routed net of the pass).
 #pragma once
 
 #include "channel/critical_region.hpp"
@@ -42,6 +45,15 @@ struct ChannelGraph {
   /// Graph-edge -> the two slab indices it joins (pin stubs map both
   /// entries to the pin's slab).
   std::vector<std::pair<std::int32_t, std::int32_t>> edge_slabs;
+
+  /// Where a route along a slab-adjacency edge crosses from one slab into
+  /// the other, and the critical regions containing that point.
+  struct Crossing {
+    Point at;
+    std::vector<std::int32_t> regions;  ///< ascending
+  };
+  /// Graph-edge -> its crossing (pin stubs cross nothing: no regions).
+  std::vector<Crossing> crossings;
 };
 
 /// Decomposes core minus the placed cells into non-overlapping rectangles

@@ -34,10 +34,10 @@ int clamp_priority(int p) {
 struct PoolExecutor::Shared {
   /// One submitted job's live state. `cancel` and `preempt` are the only
   /// fields touched outside `mu`: workers read them lock-free through
-  /// ReplicaConfig, and each worker writes only its own `reports` slot —
-  /// the disjoint-slot pattern of ReplicaPool — before re-acquiring `mu`
-  /// to decrement `remaining`, which is what publishes the slot to
-  /// whoever assembles the result.
+  /// ReplicaConfig. A worker runs its task outside `mu`, then re-acquires
+  /// `mu` and, under it, writes the task's own `reports` slot and
+  /// decrements `remaining`; the worker that takes `remaining` to zero
+  /// moves `reports` out while still holding `mu`.
   struct JobState {
     ExecutorJob spec;
     std::atomic<bool> cancel{false};

@@ -90,8 +90,22 @@ std::vector<DevPath> lawler(const RoutingGraph& g,
     return p;
   };
 
+  // With the exact heuristic, the first target pops at f = L, the
+  // smallest h over the sources, and no entry above L can pop before it:
+  // capping the first search at L drops only entries that never pop.
+  // L itself settles the sweep just until the first source settles; the
+  // cap then keeps the other sources from being settled at all.
+  PathQuery first = q;
+  if (ws.exact_heuristic()) {
+    const double L = ws.exact_h_min(sources);
+    if (L == SearchWorkspace::kInf) {  // no source reaches a target
+      ws.clear_exact_heuristic();
+      return found;
+    }
+    first.cost_cap = L + 1e-9 * (1.0 + std::abs(L));  // see the spur cap
+  }
   ws.clear_blocks();
-  const NodeId first_hit = search(g, sources, targets, q, ws);
+  const NodeId first_hit = search(g, sources, targets, first, ws);
   if (first_hit == kInvalidNode) {
     ws.clear_exact_heuristic();
     return found;
@@ -125,11 +139,12 @@ std::vector<DevPath> lawler(const RoutingGraph& g,
     for (std::size_t j = 1; j < prev.dev; ++j)
       prefix_len += g.edge(prev.edges[j - 1]).length;
 
-    for (std::size_t qpos = prev.dev; qpos <= len + 1;
-         prefix_len += qpos >= 1 && qpos <= len
-                           ? g.edge(prev.edges[qpos - 1]).length
-                           : 0.0,
-                     ++qpos) {
+    // One spur per deviation position from prev.dev onward. The source
+    // deviation (position 0) runs last: its candidates never duplicate
+    // another position's (they start at a source no found path uses), so
+    // the order changes no candidate, and running last lets it inherit
+    // the cap of the candidates the round has found.
+    auto spur = [&](std::size_t qpos) {
       ws.clear_blocks();
       std::size_t prefix = 0;  // real edges shared with prev
       if (qpos == 0) {
@@ -147,7 +162,7 @@ std::vector<DevPath> lawler(const RoutingGraph& g,
         spur_targets.assign(targets.begin(), targets.end());
       } else {
         prefix = qpos - 1;
-        const NodeId spur = prev_nodes[prefix];
+        const NodeId spur_node = prev_nodes[prefix];
         // Loopless requirement: the prefix nodes may not be revisited.
         for (std::size_t j = 0; j < prefix; ++j) ws.block_node(prev_nodes[j]);
         // Every found path sharing this source + prefix either continues
@@ -166,14 +181,14 @@ std::vector<DevPath> lawler(const RoutingGraph& g,
           else
             ws.block_edge(p.edges[prefix]);
         }
-        seeds.assign(1, spur);
+        seeds.assign(1, spur_node);
         spur_targets.clear();
         for (std::size_t i = 0; i < targets.size(); ++i) {
           if (ws.label(targets[i]) != static_cast<std::int32_t>(i)) continue;
           if (!excluded_dst[i]) spur_targets.push_back(targets[i]);
         }
       }
-      if (seeds.empty() || spur_targets.empty()) continue;
+      if (seeds.empty() || spur_targets.empty()) return;
 
       PathQuery sq = q;
       if (candidates.size() >= r_need) {
@@ -185,7 +200,7 @@ std::vector<DevPath> lawler(const RoutingGraph& g,
                       1e-9 * (1.0 + std::abs(cap_it->length));
       }
       const NodeId hit = search(g, seeds, spur_targets, sq, ws);
-      if (hit == kInvalidNode) continue;
+      if (hit == kInvalidNode) return;
       extract_path(g, ws, hit, pr);
 
       DevPath cand;
@@ -200,6 +215,15 @@ std::vector<DevPath> lawler(const RoutingGraph& g,
       cand.dev = qpos;
       if (seen.insert({cand.src_rank, cand.edges, cand.dst_rank}).second)
         candidates.insert(std::move(cand));
+    };
+    for (std::size_t qpos = std::max<std::size_t>(prev.dev, 1); qpos <= len + 1;
+         ++qpos) {
+      spur(qpos);
+      if (qpos <= len) prefix_len += g.edge(prev.edges[qpos - 1]).length;
+    }
+    if (prev.dev == 0) {
+      prefix_len = 0.0;
+      spur(0);
     }
 
     if (candidates.empty()) break;

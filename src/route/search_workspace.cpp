@@ -17,6 +17,7 @@ void SearchWorkspace::bind(const RoutingGraph& g) {
     label_.resize(n, -1);
     hdist_gen_.resize(n, 0);
     hdone_gen_.resize(n, 0);
+    hmark_gen_.resize(n, 0);
     hdist_.resize(n, kInf);
   }
   if (eblock_gen_.size() < m) eblock_gen_.resize(m, 0);
@@ -83,11 +84,10 @@ void SearchWorkspace::arm_exact_heuristic(const RoutingGraph& g,
   }
 }
 
-double SearchWorkspace::settle_exact_h(NodeId n) {
+bool SearchWorkspace::settle_next(HeapEntry& e) {
   // Plain Dijkstra (f == d), paused between calls: every settle and every
   // relaxation happens exactly as in one uninterrupted sweep.
   const RoutingGraph& g = *hgraph_;
-  HeapEntry e;
   while (heap_extract(hheap_, e)) {
     const auto u = static_cast<std::size_t>(e.node);
     if (e.d > hdist_[u]) continue;  // stale entry
@@ -103,9 +103,37 @@ double SearchWorkspace::settle_exact_h(NodeId n) {
       ++counters.heap_pushes;
       heap_insert(hheap_, {nd, nd, static_cast<NodeId>(v)});
     }
+    return true;
+  }
+  return false;
+}
+
+double SearchWorkspace::settle_exact_h(NodeId n, double g, double cap) {
+  // The floor is the smallest key in the heap. Rounding is monotone, so
+  // h(n) >= floor gives g + h(n) >= g + floor: once g + floor > cap, the
+  // caller drops `n` whatever h(n) is.
+  HeapEntry e;
+  while (!hheap_.empty() && g + hheap_.front().d <= cap) {
+    if (!settle_next(e)) break;
     if (e.node == n) return e.d;
   }
-  return kInf;  // the sweep ran dry without reaching `n`
+  return kInf;  // dry (unreachable) or provably over the cap
+}
+
+double SearchWorkspace::exact_h_min(std::span<const NodeId> nodes) {
+  // Settled nodes lie at most the floor away and unsettled ones at least
+  // as far, so a settled member, if any, holds the minimum.
+  double best = kInf;
+  for (NodeId n : nodes)
+    if (hdone_gen_[static_cast<std::size_t>(n)] == hgen_)
+      best = std::min(best, hdist_[static_cast<std::size_t>(n)]);
+  if (best < kInf) return best;
+  const std::uint64_t mark = ++gen_;
+  for (NodeId n : nodes) hmark_gen_[static_cast<std::size_t>(n)] = mark;
+  HeapEntry e;
+  while (settle_next(e))
+    if (hmark_gen_[static_cast<std::size_t>(e.node)] == mark) return e.d;
+  return kInf;
 }
 
 }  // namespace tw

@@ -98,6 +98,12 @@ public:
   // settled. The sweep keeps its own labels and heap, ignores the block
   // marks, and counts as one search (its settles and pushes count as
   // pops and pushes).
+  //
+  // A capped query needs less: it drops `n` whenever g + h(n) exceeds its
+  // cost cap. Every node the sweep has not settled yet lies at least the
+  // sweep's floor (the smallest key left in its heap) from the targets,
+  // so once g + floor > cap, `n` is dropped without settling it. A dry
+  // sweep has settled everything that reaches a target: h = kInf.
 
   /// Arms the exact heuristic for `targets` on `g`. When the armed sweep
   /// was started for exactly this graph state (appended edges could
@@ -120,13 +126,20 @@ public:
     htargets_.clear();
   }
   bool exact_heuristic() const { return astar_on_ && exact_h_on_; }
-  /// Unblocked distance from `n` to the nearest armed target (kInf: no
-  /// target is reachable), settling the sweep as far as needed.
-  double exact_h(NodeId n) {
+  /// Unblocked distance h(n) from `n` to the nearest armed target (kInf:
+  /// no target is reachable), settling the sweep as far as needed. With a
+  /// cap, the answer is h(n) whenever g + h(n) <= cap, and otherwise any
+  /// value v with g + v > cap (kInf when the sweep's floor proved it):
+  /// the sweep stops settling once its floor exceeds cap - g.
+  double exact_h(NodeId n, double g = 0.0, double cap = kInf) {
     const auto i = static_cast<std::size_t>(n);
     if (hdone_gen_[i] == hgen_) return hdist_[i];
-    return settle_exact_h(n);
+    return settle_exact_h(n, g, cap);
   }
+  /// The smallest exact_h over `nodes` (kInf for none that reaches a
+  /// target). The sweep settles in nondecreasing distance, so it stops at
+  /// the first of `nodes` to settle; the others stay unsettled.
+  double exact_h_min(std::span<const NodeId> nodes);
 
   // --- per-query state (begin_query invalidates in O(1)) ------------------
   void begin_query() {
@@ -254,8 +267,12 @@ private:
     heap[i] = last;
     return true;
   }
-  /// Slow path of exact_h(): resumes the reverse sweep until `n` settles.
-  double settle_exact_h(NodeId n);
+  /// Slow path of exact_h(): resumes the reverse sweep until `n` settles
+  /// or the floor exceeds cap - g.
+  double settle_exact_h(NodeId n, double g, double cap);
+  /// Settles the sweep's next node into `out` (its distance in out.d);
+  /// false when the sweep has run dry.
+  bool settle_next(HeapEntry& out);
 
   // A* scale derivation state (see bind()).
   std::uint64_t bound_uid_ = 0;
@@ -285,6 +302,7 @@ private:
   std::vector<double> dist_;
   std::vector<EdgeId> via_;
   std::vector<std::uint64_t> hdist_gen_, hdone_gen_;  ///< reverse sweep
+  std::vector<std::uint64_t> hmark_gen_;  ///< exact_h_min's node set
   std::vector<double> hdist_;
   std::vector<HeapEntry> hheap_;
   std::vector<std::int32_t> label_;

@@ -87,18 +87,19 @@ NodeId search(const RoutingGraph& g, std::span<const NodeId> sources,
 
   // An exact (reverse-sweep) heuristic dominates the geometric bound and
   // returns kInf for nodes that cannot reach any target at all — those are
-  // never entered.
+  // never entered. Told the distance `d` a node is reached at, it settles
+  // the sweep only as far as the cap check below needs (see exact_h).
   const bool exact = targets_left > 0 && ws.exact_heuristic();
   const double alpha = targets_left > 0 ? ws.heuristic_scale() : 0.0;
-  auto h = [&](NodeId v) {
-    if (exact) return ws.exact_h(v);
+  auto h = [&](NodeId v, double d) {
+    if (exact) return ws.exact_h(v, d, q.cost_cap);
     return alpha > 0.0 ? alpha * box_manhattan(g.node_pos(v), box) : 0.0;
   };
 
   for (NodeId s : sources) {
     if (node_blocked(s)) continue;
     if (ws.dist(s) < kInf) continue;  // duplicate source entries
-    const double hs = h(s);
+    const double hs = h(s, 0.0);
     if (hs > q.cost_cap) continue;  // no wanted path through here (or kInf)
     ws.set_dist(s, 0.0, SearchWorkspace::kNoEdge);
     ws.heap_push(hs, 0.0, s);
@@ -125,7 +126,7 @@ NodeId search(const RoutingGraph& g, std::span<const NodeId> sources,
         w += (*q.extra_cost)[static_cast<std::size_t>(eid)];
       const double nd = e.d + w;
       if (nd < ws.dist(v)) {
-        const double hv = h(v);
+        const double hv = h(v, nd);
         if (nd + hv > q.cost_cap) continue;  // no wanted path (or hv kInf)
         ws.set_dist(v, nd, eid);
         ws.heap_push(nd + hv, nd, v);

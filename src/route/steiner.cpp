@@ -87,16 +87,23 @@ int pin_of_alternative(const NetTargets& net, const std::vector<char>& connected
 /// sorted (one exhaustive-over-targets sweep); without it only the nearest
 /// pin is found, via a first-target search that stops at the closest
 /// alternative instead of settling them all — the common (prim_k == 0)
-/// case pays a fraction of the sweep.
+/// case pays a fraction of the sweep. A single unconnected pin is the
+/// answer without a search: if it is unreachable, the path enumeration
+/// to it finds no path and the tree is dropped all the same.
 std::vector<int> nearest_unconnected(const RoutingGraph& g,
                                      const NetTargets& net,
                                      const PartialTree& t, bool full_order,
                                      SearchWorkspace& ws,
                                      std::vector<NodeId>& alt_scratch) {
-  bool any_unconnected = false;
+  int unconnected = 0;
+  int last = -1;
   for (std::size_t p = 0; p < net.pins.size(); ++p)
-    if (!t.connected[p]) any_unconnected = true;
-  if (!any_unconnected) return {};
+    if (!t.connected[p]) {
+      ++unconnected;
+      last = static_cast<int>(p);
+    }
+  if (unconnected == 0) return {};
+  if (unconnected == 1) return {last};
 
   if (!full_order) {
     alt_scratch.clear();

@@ -190,6 +190,10 @@ TEST(RoutePerf, AStarMatchesDijkstraFuzz) {
 // Lazy reverse sweep. exact_h settles the reverse Dijkstra from the armed
 // targets only as far as each query needs; every value it returns must be
 // the full sweep's distance, kInf included for nodes no target reaches.
+// A capped query (g, cap) must get that distance whenever g + h <= cap and
+// a value v with g + v > cap otherwise; exact_h_min must return the
+// smallest distance over its node set while settling no further than the
+// first of them.
 
 TEST(RoutePerf, LazySweepMatchesFullDijkstraFuzz) {
   Rng rng(31337);
@@ -232,6 +236,36 @@ TEST(RoutePerf, LazySweepMatchesFullDijkstraFuzz) {
     }
     // Never more settles than the full sweep.
     EXPECT_LE(ws.counters.nodes_popped, plain.counters.nodes_popped);
+
+    // Capped queries and set minima, on a fresh sweep, in random order.
+    SearchWorkspace capped;
+    capped.bind(g);
+    capped.arm_exact_heuristic(g, targets);
+    for (NodeId n : order) {
+      const double want = full[static_cast<std::size_t>(n)];
+      if (rng.uniform_int(0, 2) == 0) {
+        const auto set = random_node_set(rng, g, {});
+        double least = SearchWorkspace::kInf;
+        for (NodeId m : set)
+          least = std::min(least, full[static_cast<std::size_t>(m)]);
+        const RouteCounters before = capped.counters;
+        EXPECT_EQ(capped.exact_h_min(set), least);
+        // Settling stopped at the first member: every node it settled
+        // lies no farther than `least`.
+        long long within = 0;
+        for (double d : full) within += d <= least ? 1 : 0;
+        EXPECT_LE((capped.counters - before).nodes_popped, within);
+      }
+      const double gn = static_cast<double>(rng.uniform_int(0, 30));
+      const double cap = static_cast<double>(rng.uniform_int(0, 90));
+      const double got = capped.exact_h(n, gn, cap);
+      if (gn + want <= cap)
+        EXPECT_EQ(got, want);
+      else
+        EXPECT_GT(gn + got, cap);
+    }
+    for (NodeId n : order)
+      EXPECT_EQ(capped.exact_h(n), full[static_cast<std::size_t>(n)]);
 
     // Re-arming for the same target set (any order, with duplicates)
     // resumes the kept sweep instead of starting a search.

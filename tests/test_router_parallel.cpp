@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <chrono>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "channel/channel_graph.hpp"
@@ -233,9 +236,22 @@ TEST(WorkerCrew, RunsEverySlotExactlyOnce) {
     ASSERT_GE(worker, 0);
     ASSERT_LT(worker, 4);
     worker_seen.fetch_or(1 << worker);
+    if (slot == 0) {
+      // Hold this worker until another one has run a slot. While it
+      // waits, the other 256 slots can only run on other workers, so a
+      // crew whose helpers never run slots times out here instead of
+      // passing; no timing assumption beyond the generous bound.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(120);
+      while ((worker_seen.load() & ~(1 << worker)) == 0 &&
+             std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+    }
     hits[static_cast<std::size_t>(slot)].fetch_add(1);
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_GE(std::popcount(static_cast<unsigned>(worker_seen.load())), 2);
+  EXPECT_NE(worker_seen.load() & ~1, 0) << "no helper thread ran a slot";
   // Batch after batch reuses the parked threads.
   crew.run(3, [&](int, int slot) { hits[static_cast<std::size_t>(slot)].fetch_add(1); });
   for (std::size_t s = 0; s < 3; ++s) EXPECT_EQ(hits[s].load(), 2);
