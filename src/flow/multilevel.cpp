@@ -38,18 +38,9 @@ double probe_warm_t_factor(const Netlist& nl, Placement& placement,
   constexpr double kMinFactor = 0.005;
   constexpr double kMaxFactor = 0.2;
 
-  // T_infinity exactly as the refinement's Stage1Placer computes it
-  // (Eqns 19-21 over expanded cell areas), so the returned factor lands
-  // on the same temperature scale.
-  const double e0 = estimator.nominal_expansion();
-  double eff_area = 0.0;
-  for (const auto& c : nl.cells()) {
-    const CellInstance& inst = c.instances.front();
-    eff_area += (static_cast<double>(inst.width) + 2.0 * e0) *
-                (static_cast<double>(inst.height) + 2.0 * e0);
-  }
-  const double t_inf = t_infinity(
-      temperature_scale(eff_area / static_cast<double>(nl.num_cells())));
+  // T_infinity exactly as the refinement's Stage1Placer computes it, so
+  // the returned factor lands on the same temperature scale.
+  const double t_inf = t_infinity(stage1_temperature_scale(nl, estimator));
 
   RangeLimiter limiter(core.width(), core.height(), t_inf, rho);
   const Coord wx = limiter.window_x(fallback * t_inf);

@@ -68,30 +68,29 @@ Stage1Placer::MoveOutcome Stage1Placer::try_interchange(const Placement& p,
   return decide(txn, t, "stage1 move");
 }
 
-Stage1Placer::MoveOutcome Stage1Placer::try_pin_move(MoveTxn& txn, CellId i,
-                                                     double t) {
-  const Cell& cell = nl_.cell(i);
+bool stage_pin_move(const Netlist& nl, MoveTxn& txn, Rng& rng, CellId i) {
+  const Cell& cell = nl.cell(i);
 
   // Candidate movable units: groups, plus loose (kEdge) pins.
   std::vector<int>& loose = txn.scratch_ints();
   loose.clear();
   for (std::size_t k = 0; k < cell.pins.size(); ++k)
-    if (nl_.pin(cell.pins[k]).commit == PinCommit::kEdge)
+    if (nl.pin(cell.pins[k]).commit == PinCommit::kEdge)
       loose.push_back(static_cast<int>(k));
   const std::size_t units = cell.groups.size() + loose.size();
-  if (units == 0) return {};
+  if (units == 0) return false;
 
   // Pick the unit first so only the moved pins' nets are (re)evaluated:
   // C2 cannot change, and C3 is confined to this cell.
   const auto pick = static_cast<std::size_t>(
-      rng_.uniform_int(0, static_cast<std::int64_t>(units) - 1));
+      rng.uniform_int(0, static_cast<std::int64_t>(units) - 1));
   std::vector<NetId>& nets = txn.scratch_nets();
   nets.clear();
   if (pick < cell.groups.size()) {
-    for (PinId pid : cell.groups[pick].pins) nets.push_back(nl_.pin(pid).net);
+    for (PinId pid : cell.groups[pick].pins) nets.push_back(nl.pin(pid).net);
   } else {
     const int local = loose[pick - cell.groups.size()];
-    nets.push_back(nl_.pin(cell.pins[static_cast<std::size_t>(local)]).net);
+    nets.push_back(nl.pin(cell.pins[static_cast<std::size_t>(local)]).net);
   }
   std::sort(nets.begin(), nets.end());
   nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
@@ -101,21 +100,33 @@ Stage1Placer::MoveOutcome Stage1Placer::try_pin_move(MoveTxn& txn, CellId i,
     const auto g = static_cast<GroupId>(pick);
     const auto sides = sides_in_mask(cell.groups[pick].side_mask);
     const Side side = sides[static_cast<std::size_t>(
-        rng_.uniform_int(0, static_cast<std::int64_t>(sides.size()) - 1))];
+        rng.uniform_int(0, static_cast<std::int64_t>(sides.size()) - 1))];
     const int start =
-        static_cast<int>(rng_.uniform_int(0, cell.sites_per_edge - 1));
+        static_cast<int>(rng.uniform_int(0, cell.sites_per_edge - 1));
     txn.assign_group(g, side, start);
   } else {
     const int local = loose[pick - cell.groups.size()];
-    const Pin& pin = nl_.pin(cell.pins[static_cast<std::size_t>(local)]);
+    const Pin& pin = nl.pin(cell.pins[static_cast<std::size_t>(local)]);
     const int count = num_sites_in_mask(pin.side_mask, cell.sites_per_edge);
     const int site = nth_site_in_mask(
         pin.side_mask,
-        static_cast<int>(rng_.uniform_int(0, count - 1)),
+        static_cast<int>(rng.uniform_int(0, count - 1)),
         cell.sites_per_edge);
     txn.assign_pin_to_site(local, site);
   }
-  return decide(txn, t, "stage1 pin move");
+  return true;
+}
+
+double stage1_temperature_scale(const Netlist& nl,
+                                const DynamicAreaEstimator& estimator) {
+  const double e0 = estimator.nominal_expansion();
+  double eff_area = 0.0;
+  for (const auto& c : nl.cells()) {
+    const CellInstance& inst = c.instances.front();
+    eff_area += (static_cast<double>(inst.width) + 2.0 * e0) *
+                (static_cast<double>(inst.height) + 2.0 * e0);
+  }
+  return temperature_scale(eff_area / static_cast<double>(nl.num_cells()));
 }
 
 Stage1Placer::MoveOutcome Stage1Placer::try_aspect_change(MoveTxn& txn,
@@ -175,15 +186,7 @@ Stage1Result Stage1Placer::run_impl(Placement& placement,
   // them here also primes the estimator's internal core-dependent state.
   const Rect core = estimator_.compute_initial_core(params_.core_aspect);
 
-  const double e0 = estimator_.nominal_expansion();
-  double eff_area = 0.0;
-  for (const auto& c : nl_.cells()) {
-    const CellInstance& inst = c.instances.front();
-    eff_area += (static_cast<double>(inst.width) + 2.0 * e0) *
-                (static_cast<double>(inst.height) + 2.0 * e0);
-  }
-  const double avg_cell_area = eff_area / static_cast<double>(nl_.num_cells());
-  const double scale = temperature_scale(avg_cell_area);
+  const double scale = stage1_temperature_scale(nl_, estimator_);
   double t;
   int first_step = 0;
   if (cursor != nullptr) {
@@ -365,10 +368,9 @@ Stage1Result Stage1Placer::run_impl(Placement& placement,
           int uncommitted = 0;
           for (PinId pid : nl_.cell(i).pins)
             if (!nl_.pin(pid).committed()) ++uncommitted;
-          for (int k = 0; k < uncommitted; ++k) {
-            const MoveOutcome pm = try_pin_move(txn, i, t);
-            if (pm.attempted_valid) acc.record(pm.accepted);
-          }
+          for (int k = 0; k < uncommitted; ++k)
+            if (stage_pin_move(nl_, txn, rng_, i))
+              acc.record(decide(txn, t, "stage1 pin move").accepted);
           const MoveOutcome am = try_aspect_change(txn, i, t);
           if (am.attempted_valid) acc.record(am.accepted);
         } else if (nl_.cell(i).instances.size() > 1) {

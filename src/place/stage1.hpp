@@ -164,6 +164,20 @@ struct Stage1Hooks {
   int checkpoint_every = 5;
 };
 
+/// Opens `txn` on a random pin move of custom cell `i` (Section 2.4): one
+/// pin group to a random legal side and start site, or one loose (kEdge)
+/// pin to a random legal site. Returns false, with nothing opened, when
+/// the cell has no movable unit. The caller evaluates, then commits or
+/// reverts; stage 1 and stage 2 share this generator and so draw the same
+/// RNG sequence for the same move.
+bool stage_pin_move(const Netlist& nl, MoveTxn& txn, Rng& rng, CellId i);
+
+/// The stage-1 temperature scale (Eqns 19-21): the mean cell area, each
+/// cell expanded by the estimator's nominal border. T_infinity is
+/// t_infinity() of it.
+double stage1_temperature_scale(const Netlist& nl,
+                                const DynamicAreaEstimator& estimator);
+
 class Stage1Placer {
 public:
   Stage1Placer(const Netlist& nl, Stage1Params params, std::uint64_t seed);
@@ -200,7 +214,6 @@ private:
   MoveOutcome try_orient_change(MoveTxn& txn, CellId i, Orient o, double t);
   MoveOutcome try_interchange(const Placement& p, MoveTxn& txn, CellId i,
                               CellId j, bool invert_aspects, double t);
-  MoveOutcome try_pin_move(MoveTxn& txn, CellId i, double t);
   MoveOutcome try_aspect_change(MoveTxn& txn, CellId i, double t);
   MoveOutcome try_instance_change(const Placement& p, MoveTxn& txn, CellId i,
                                   double t);

@@ -12,10 +12,10 @@
 //
 // File format (docs/ROBUSTNESS.md):
 //   magic "TWCP" | u32 version | u32 payload size | u32 CRC-32 | payload
-// all little-endian. Files are written atomically (temp + rename), so a
-// crash mid-write never leaves a half-written file under the final name;
-// a torn or bit-flipped file fails the size or CRC check with a typed
-// CheckpointError instead of producing garbage state.
+// all little-endian, framed and written atomically by recover/durable
+// (temp + rename), so a crash mid-write never leaves a half-written file
+// under the final name; a torn or bit-flipped file fails the size or CRC
+// check with a typed CheckpointError instead of producing garbage state.
 #pragma once
 
 #include <cstdint>

@@ -113,72 +113,25 @@ int Stage2Refiner::anneal(Placement& placement, OverlapEngine& overlap,
           nl_.cell(i).is_custom() && rng_.bernoulli(0.25) &&
           !placement.state(i).sites.empty();
 
+      const char* what = "stage2 move";
       if (pin_move) {
         // Move one uncommitted pin or group to a new legal site. Only the
         // moved pins' nets and this cell's site penalty can change.
-        const Cell& cell = nl_.cell(i);
-        std::vector<int>& loose = txn.scratch_ints();
-        loose.clear();
-        for (std::size_t k = 0; k < cell.pins.size(); ++k)
-          if (nl_.pin(cell.pins[k]).commit == PinCommit::kEdge)
-            loose.push_back(static_cast<int>(k));
-        const std::size_t units = cell.groups.size() + loose.size();
-        if (units == 0) continue;
-        const auto pick = static_cast<std::size_t>(
-            rng_.uniform_int(0, static_cast<std::int64_t>(units) - 1));
-
-        std::vector<NetId>& nets = txn.scratch_nets();
-        nets.clear();
-        if (pick < cell.groups.size()) {
-          for (PinId pid : cell.groups[pick].pins)
-            nets.push_back(nl_.pin(pid).net);
-        } else {
-          const int local = loose[pick - cell.groups.size()];
-          nets.push_back(
-              nl_.pin(cell.pins[static_cast<std::size_t>(local)]).net);
-        }
-        std::sort(nets.begin(), nets.end());
-        nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
-
-        txn.begin_pins(i, nets);
-        if (pick < cell.groups.size()) {
-          const auto sides = sides_in_mask(cell.groups[pick].side_mask);
-          const Side side = sides[static_cast<std::size_t>(rng_.uniform_int(
-              0, static_cast<std::int64_t>(sides.size()) - 1))];
-          txn.assign_group(
-              static_cast<GroupId>(pick), side,
-              static_cast<int>(rng_.uniform_int(0, cell.sites_per_edge - 1)));
-        } else {
-          const int local = loose[pick - cell.groups.size()];
-          const Pin& pin = nl_.pin(cell.pins[static_cast<std::size_t>(local)]);
-          const auto legal = sites_in_mask(pin.side_mask, cell.sites_per_edge);
-          txn.assign_pin_to_site(
-              local, legal[static_cast<std::size_t>(rng_.uniform_int(
-                         0, static_cast<std::int64_t>(legal.size()) - 1))]);
-        }
-
-        if (metropolis_accept(txn.evaluate(), sweep_t, rng_)) {
-          txn.commit(current);
-          audit.on_accept(current, "stage2 pin move");
-          if (hooks_.faults != nullptr)
-            hooks_.faults->poll(recover::FaultSite::kStage2Accept);
-        } else {
-          txn.revert();
-        }
-        continue;
+        if (!stage_pin_move(nl_, txn, rng_, i)) continue;
+        what = "stage2 pin move";
+      } else {
+        txn.begin(i);
+        const Point c0 = placement.state(i).center;
+        const Point d = select_displacement(rng_, limiter.window_x(sweep_t),
+                                            limiter.window_y(sweep_t),
+                                            PointSelect::kStructured);
+        txn.set_center(i, {std::clamp(c0.x + d.x, core.xlo, core.xhi),
+                           std::clamp(c0.y + d.y, core.ylo, core.yhi)});
       }
-
-      txn.begin(i);
-      const Point c0 = placement.state(i).center;
-      const Point d = select_displacement(rng_, limiter.window_x(sweep_t),
-                                          limiter.window_y(sweep_t),
-                                          PointSelect::kStructured);
-      txn.set_center(i, {std::clamp(c0.x + d.x, core.xlo, core.xhi),
-                         std::clamp(c0.y + d.y, core.ylo, core.yhi)});
 
       if (metropolis_accept(txn.evaluate(), sweep_t, rng_)) {
         txn.commit(current);
-        audit.on_accept(current, "stage2 move");
+        audit.on_accept(current, what);
         if (hooks_.faults != nullptr)
           hooks_.faults->poll(recover::FaultSite::kStage2Accept);
       } else {

@@ -56,12 +56,10 @@ std::vector<Route> m_best_routes(const RoutingGraph& g, const NetTargets& net,
                                  const SteinerParams& params,
                                  SearchWorkspace& ws);
 
-/// Single greedy Prim/Dijkstra Steiner route, optionally under additive
-/// per-edge costs (congestion penalties). Used by the sequential baseline
-/// and by the global router's rip-up augmentation. nullopt when the net
-/// cannot be connected.
-std::optional<Route> greedy_route(const RoutingGraph& g, const NetTargets& net,
-                                  const std::vector<double>* extra_cost = nullptr);
+/// Single greedy Prim/Dijkstra Steiner route on `ws`, optionally under
+/// additive per-edge costs (congestion penalties). Used by the sequential
+/// baseline and by the global router's rip-up augmentation. nullopt when
+/// the net cannot be connected.
 std::optional<Route> greedy_route(const RoutingGraph& g, const NetTargets& net,
                                   const std::vector<double>* extra_cost,
                                   SearchWorkspace& ws);

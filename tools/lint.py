@@ -25,9 +25,11 @@ Rules (each reports file:line and exits nonzero on any hit):
   5. No checkpoint file handling outside src/recover: hand-built
      checkpoint paths (`.twcp`, `ckpt-NNNNNN`) are banned elsewhere in
      src/. Checkpoints must go through recover::FileCheckpointSink /
-     write_checkpoint_file (atomic temp+rename, CRC framing) and
-     find_latest_checkpoint — a raw ofstream to a checkpoint path would
-     silently drop both guarantees (docs/ROBUSTNESS.md).
+     write_checkpoint_file and find_latest_checkpoint, which write and
+     read through the durable-file module (src/recover/durable: atomic
+     temp + rename, CRC framing) — a raw ofstream to a checkpoint path
+     would silently drop both guarantees (docs/ROBUSTNESS.md "Durable
+     files").
 
   6. No raw threading outside src/pool: `std::thread`, `std::jthread`,
      `std::async` and `.detach()` are banned elsewhere in src/. All
@@ -65,10 +67,19 @@ Rules (each reports file:line and exits nonzero on any hit):
      FaultInjector::poll — so the rule keys on the unambiguous tokens
      and the headers, which any real socket code must include.)
 
+ 10. No file commit outside the durable-file module: `rename(` (the
+     std::filesystem, C and POSIX spellings alike) is banned in src/
+     except in src/recover/durable.{hpp,cpp}. Every store that replaces a
+     file — checkpoints, result-cache entries, journal compaction — calls
+     recover::write_file_atomic, which checks the flush and the close
+     before it renames. A hand-written temp + rename that skips the
+     close check renames a truncated file into place when the disk fills
+     up at close time (docs/ROBUSTNESS.md "Durable files").
+
 Lines may opt out with a trailing `// lint: allow(<rule>)` where <rule>
 is one of: float-geom, raw-random, nondeterminism, raw-assert,
 checkpoint-io, raw-thread, txn-mutation, route-workspace,
-daemon-syscalls — or one of
+daemon-syscalls, durable-io — or one of
 tools/semlint.py's semantic rules (rng-value, txn-reach, layer-dag,
 float-flow, pool-capture), which that tool audits itself.
 
@@ -179,6 +190,16 @@ RULES = [
         "socket/daemon syscalls live only in src/serve (the placement "
         "service, docs/ROBUSTNESS.md); library code must stay free of "
         "process-boundary I/O",
+    ),
+    (
+        "durable-io",
+        lambda rel: rel.parts[0] == "src"
+        and str(rel) not in ("src/recover/durable.hpp",
+                             "src/recover/durable.cpp"),
+        re.compile(r"\brename(at2?)?\s*\("),
+        "files are committed only by recover::write_file_atomic "
+        "(src/recover/durable.hpp), which checks flush and close before "
+        "the rename",
     ),
 ]
 

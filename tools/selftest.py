@@ -38,7 +38,7 @@ TOOLS_DIR = pathlib.Path(__file__).resolve().parent
 LINT_RULES = {
     "float-geom", "raw-random", "nondeterminism", "raw-assert",
     "checkpoint-io", "raw-thread", "txn-mutation", "route-workspace",
-    "daemon-syscalls",
+    "daemon-syscalls", "durable-io",
 }
 SEMLINT_RULES = {
     "rng-value", "txn-reach", "layer-dag", "float-flow", "pool-capture",
